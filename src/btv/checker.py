@@ -6,27 +6,40 @@ initial one) is checked against the model's invariants; the first problem in
 BFS order wins, tie-broken by the canonical event enumeration order, so
 counterexamples are minimal in transition count and reproducible.
 
-Frontier expansion can be spread over worker threads; layers are merged
-sequentially in frontier order, so verdicts and state counts do not depend
-on scheduling.
+The search runs over packed states, one flat tuple (control id, *env values)
+per state. A control id names a distinct (ticks, results, analyzing) vector
+triple. Only leaf outcomes read the environment, so a control id's candidate
+events and each event's next control id are the same in every state that
+shares it; they are computed once, on the first visit, by the executable
+spec in btv.semantics, with guards and effects compiled to closures over the
+values tuple. Packed states are decoded to MachineState only at the public
+boundary: on_state, counterexamples and their state deltas.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import TickResult
-from .envmodel import DomainViolationError, check_invariants
+from .envmodel import (
+    DomainViolationError,
+    EnvState,
+    check_invariants,
+    compile_effects,
+    compile_predicate,
+)
 from .semantics import (
     Event,
     EventKind,
     EventNotEnabledError,
     MachineState,
     Model,
+    _candidates,
+    _event_effects,
+    _fire_control,
     apply_event,
     enabled_events,
     initial_state,
@@ -51,7 +64,6 @@ class Status(Enum):
 class ExploreOptions:
     max_states: int = 1_000_000
     max_depth: int | None = None
-    workers: int = 1
 
 
 @dataclass
@@ -82,24 +94,72 @@ class Verdict:
     stats: Stats = field(default_factory=Stats)
 
 
-class _DomainHit:
-    """Marker for a transition whose effect left a variable's domain."""
+class _Automaton:
+    """Control ids and their transition lists, built on first use.
 
-    def __init__(self, event: Event, error: DomainViolationError):
-        self.event = event
-        self.error = error
+    A transition is (event, guard, effects, next control id): `guard` maps
+    the env values tuple to whether the event is enabled, `effects` maps it
+    to the successor's values; either is None when the event has none.
+    """
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.ids: dict[tuple, int] = {}
+        self.controls: list[tuple] = []
+        self.table: list[list | None] = []
+        self._compiled: dict[Event, tuple] = {}
+
+    def intern(self, control: tuple) -> int:
+        cid = self.ids.get(control)
+        if cid is None:
+            cid = self.ids[control] = len(self.controls)
+            self.controls.append(control)
+            self.table.append(None)
+        return cid
+
+    def transitions(self, cid: int) -> list:
+        out = self.table[cid]
+        if out is None:
+            model, control = self.model, self.controls[cid]
+            out = self.table[cid] = [
+                (event, *self._compile(event, guard),
+                 self.intern(_fire_control(model, control, event)))
+                for event, guard in _candidates(model, control[0], control[1])]
+        return out
+
+    def _compile(self, event: Event, guard) -> tuple:
+        compiled = self._compiled.get(event)
+        if compiled is None:
+            env = self.model.env
+            test = None
+            if guard is not None:
+                pred, wanted = guard
+                test = compile_predicate(pred, env.slots)
+                if not wanted:
+                    test = _negate(test)
+            effects, wrap = _event_effects(self.model, event)
+            apply = compile_effects(env, effects, wrap=wrap) if effects else None
+            compiled = self._compiled[event] = (test, apply)
+        return compiled
+
+    def decode(self, state: tuple) -> MachineState:
+        ticks, results, analyzing = self.controls[state[0]]
+        return MachineState(ticks, results, analyzing,
+                            EnvState(state[1:], self.model.env.slots))
+
+    def event_between(self, state: tuple, successor: tuple) -> Event:
+        """The first event, in canonical order, leading from state to successor."""
+        values = state[1:]
+        for event, test, apply, nxt in self.transitions(state[0]):
+            if nxt != successor[0] or test is not None and not test(values):
+                continue
+            if (apply(values) if apply is not None else values) == successor[1:]:
+                return event
+        raise AssertionError("no event connects the two states")
 
 
-def _expand(model: Model, state: MachineState):
-    """Enabled events of one state with successors or domain-hit markers."""
-    events = enabled_events(model, state)
-    out = []
-    for e in events:
-        try:
-            out.append((e, apply_event(model, state, e)))
-        except DomainViolationError as err:
-            out.append((e, _DomainHit(e, err)))
-    return out
+def _negate(test):
+    return lambda values: not test(values)
 
 
 def explore(model: Model, options: ExploreOptions | None = None,
@@ -114,116 +174,117 @@ def explore(model: Model, options: ExploreOptions | None = None,
     opts = options or ExploreOptions()
     started = time.perf_counter()
     stats = Stats()
+    spec = model.env
+    slots = spec.slots
+    auto = _Automaton(model)
 
-    init = initial_state(model)
-    visited: dict[MachineState, int] = {init: 0}
-    parents: dict[MachineState, tuple[MachineState, Event]] = {}
+    start = initial_state(model)
+    init = (auto.intern((start.ticks, start.results, start.analyzing)),) + start.env.values
+    # Each discovered state maps to the state it was first reached from.
+    visited: dict[tuple, tuple | None] = {init: None}
     transitions = 0
     if on_state:
-        on_state(init)
+        on_state(start)
 
     def finish(status: Status, *, bad_state=None, violating_event=None,
                invariant=None, detail=None) -> Verdict:
         stats.wall_time_s = time.perf_counter() - started
         trace = None
         if bad_state is not None:
-            trace = _trace_to(model, init, parents, bad_state)
+            trace = _trace_to(model, auto, visited, bad_state)
         return Verdict(status, len(visited), transitions,
                        violated_invariant=invariant, counterexample=trace,
                        violating_event=violating_event, detail=detail, stats=stats)
 
-    violated = check_invariants(model.env, init.env)
+    violated = check_invariants(spec, start.env)
     if violated:
         return finish(Status.VIOLATED, bad_state=init, invariant=violated[0],
                       detail=f"invariant {violated[0]!r} false in the initial state")
 
+    table = auto.table
+    max_states = opts.max_states
     frontier = [init]
     depth = 0
-    pool = ThreadPoolExecutor(opts.workers) if opts.workers > 1 else None
-    try:
-        while frontier:
-            stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-            stats.depth = depth
-            if opts.max_depth is not None and depth >= opts.max_depth:
-                return finish(Status.BOUND_EXCEEDED,
-                              detail=f"max depth {opts.max_depth} reached with "
-                                     f"{len(frontier)} frontier states unexplored")
-            if pool is not None:
-                expansions = list(pool.map(lambda s: _expand(model, s), frontier))
-            else:
-                expansions = [_expand(model, s) for s in frontier]
-
-            next_frontier: list[MachineState] = []
-            for state, expansion in zip(frontier, expansions):
-                if not expansion:
-                    return finish(Status.DEADLOCK, bad_state=state,
-                                  detail="no event enabled in a non-final state")
-                for event, successor in expansion:
-                    transitions += 1
-                    if isinstance(successor, _DomainHit):
-                        err = successor.error
+    while frontier:
+        stats.peak_frontier = max(stats.peak_frontier, len(frontier))
+        stats.depth = depth
+        if opts.max_depth is not None and depth >= opts.max_depth:
+            return finish(Status.BOUND_EXCEEDED,
+                          detail=f"max depth {opts.max_depth} reached with "
+                                 f"{len(frontier)} frontier states unexplored")
+        next_frontier: list[tuple] = []
+        for state in frontier:
+            values = state[1:]
+            enabled = False
+            for event, test, apply, nxt in table[state[0]] or auto.transitions(state[0]):
+                if test is not None and not test(values):
+                    continue
+                enabled = True
+                transitions += 1
+                if apply is None:
+                    new_values = values
+                else:
+                    try:
+                        new_values = apply(values)
+                    except DomainViolationError as err:
                         return finish(
                             Status.DOMAIN_VIOLATION, bad_state=state,
                             violating_event=event,
                             detail=f"{event.describe()}: {err.name} := {err.value} "
                                    "leaves the declared domain")
-                    if successor in visited:
-                        continue
-                    if len(visited) >= opts.max_states:
-                        return finish(Status.BOUND_EXCEEDED,
-                                      detail=f"max states {opts.max_states} reached")
-                    visited[successor] = depth + 1
-                    parents[successor] = (state, event)
-                    if on_state:
-                        on_state(successor)
-                    violated = check_invariants(model.env, successor.env)
-                    if violated:
-                        return finish(Status.VIOLATED, bad_state=successor,
-                                      invariant=violated[0])
-                    next_frontier.append(successor)
-            frontier = next_frontier
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                successor = (nxt,) + new_values
+                if successor in visited:
+                    continue
+                if len(visited) >= max_states:
+                    return finish(Status.BOUND_EXCEEDED,
+                                  detail=f"max states {max_states} reached")
+                visited[successor] = state
+                if on_state:
+                    on_state(auto.decode(successor))
+                violated = check_invariants(spec, EnvState(new_values, slots))
+                if violated:
+                    return finish(Status.VIOLATED, bad_state=successor,
+                                  invariant=violated[0])
+                next_frontier.append(successor)
+            if not enabled:
+                return finish(Status.DEADLOCK, bad_state=state,
+                              detail="no event enabled in a non-final state")
+        frontier = next_frontier
+        depth += 1
 
     stats.wall_time_s = time.perf_counter() - started
     return Verdict(Status.HOLDS, len(visited), transitions, stats=stats)
 
 
-def _trace_to(model: Model, init: MachineState, parents,
-              target: MachineState) -> list[TraceStep]:
+def _trace_to(model: Model, auto: _Automaton, visited: dict,
+              target: tuple) -> list[TraceStep]:
     """Rebuild the event path to `target`, annotating each step with deltas."""
-    events: list[Event] = []
-    cursor = target
-    while cursor != init:
-        prev, event = parents[cursor]
-        events.append(event)
-        cursor = prev
-    events.reverse()
+    path = [target]
+    while visited[path[-1]] is not None:
+        path.append(visited[path[-1]])
+    path.reverse()
     steps = []
-    state = init
-    for event in events:
-        successor = apply_event(model, state, event)
-        steps.append(TraceStep(event, _state_delta(model, state, successor)))
-        state = successor
+    before = auto.decode(path[0])
+    for state, successor in zip(path, path[1:]):
+        after = auto.decode(successor)
+        steps.append(TraceStep(auto.event_between(state, successor),
+                               _state_delta(model, before, after)))
+        before = after
     return steps
 
 
 def _state_delta(model: Model, before: MachineState, after: MachineState) -> dict:
     order = model.tree.node_order
     delta: dict = {}
-    for attr, label in (("ticks", "n_tick"), ("results", "n_result"),
-                        ("analyzing", "analyzing_subtree")):
-        changed = {}
-        for i, node in enumerate(order):
-            b, a = getattr(before, attr)[i], getattr(after, attr)[i]
-            if b != a:
-                changed[node] = a.value if isinstance(a, TickResult) else a
-        if changed:
-            delta[label] = changed
-    env_changed = {name: after_v for (name, after_v), (_, before_v)
-                   in zip(after.env.values, before.env.values) if after_v != before_v}
+    for b_vec, a_vec, label in ((before.ticks, after.ticks, "n_tick"),
+                                (before.results, after.results, "n_result"),
+                                (before.analyzing, after.analyzing, "analyzing_subtree")):
+        if b_vec == a_vec:
+            continue
+        delta[label] = {node: a.value if isinstance(a, TickResult) else a
+                        for node, b, a in zip(order, b_vec, a_vec) if b != a}
+    env_changed = {name: after_v for (name, after_v), before_v
+                   in zip(after.env.items(), before.env.values) if after_v != before_v}
     if env_changed:
         delta["env"] = env_changed
     return delta
@@ -248,7 +309,7 @@ def cycle_outcomes(model: Model, start: MachineState) -> set[tuple[TickResult, t
             for event in enabled_events(model, state):
                 successor = apply_event(model, state, event)
                 if event.kind is EventKind.ROOT_REINITIALIZE:
-                    outcomes.add((state.results[root_index], successor.env.values))
+                    outcomes.add((state.results[root_index], successor.env.items()))
                     continue
                 if successor not in seen:
                     seen.add(successor)

@@ -1,16 +1,16 @@
 """Command-line entry point: validate, check, and simulate model files.
 
 Exit codes: 0 ok/holds, 1 violated/deadlock/domain-violation/failed
-validation, 2 usage/parse/I-O error, 3 bound exceeded.
+validation, 2 usage/parse/I-O error, 3 bound exceeded, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
+import traceback
 
 from .checker import (
     ExploreOptions,
@@ -22,7 +22,7 @@ from .checker import (
     verdict_to_json,
 )
 from .core import ModelError, validate_tree
-from .frontend import build_tree, load_model, parse
+from .frontend import _elaborate_tree, build_tree, load_model, parse
 from .semantics import (
     DeadlockError,
     Model,
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {
     Status.HOLDS: EXIT_OK,
@@ -70,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
     p_check.add_argument("--max-states", type=positive_int, default=1_000_000)
     p_check.add_argument("--max-depth", type=int, default=None)
-    p_check.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
     p_check.add_argument("--trace-out", default=None,
                          help="write the verdict (with any counterexample) as JSON")
 
@@ -90,18 +90,33 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _print_warnings(model: Model) -> None:
+    for warning in model.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
     doc = parse(_read_text(args.model))
     tree = build_tree(doc)
     report = validate_tree(tree)
+    error = None
+    if report.ok:
+        # The remaining load-time checks: types, behaviors, exhaustiveness.
+        try:
+            _print_warnings(_elaborate_tree(doc, tree))
+        except ModelError as err:
+            error = str(err)
     if args.output == "json":
         payload = {
-            "ok": report.ok,
+            "ok": report.ok and error is None,
             "nodes": len(tree.nodes),
             "violations": [{"tag": tag, "detail": detail}
                            for tag, detail in report.violations],
+            "error": error,
         }
         print(json.dumps(payload, indent=2))
+    elif error is not None:
+        print(f"error: {error}", file=sys.stderr)
     else:
         warned = any(tag == "ID_BFS_WARN" for tag, _ in report.violations)
         if report.ok:
@@ -111,6 +126,8 @@ def cmd_validate(args) -> int:
             print(f"INVALID: {len(tree.nodes)} nodes")
         for tag, detail in report.violations:
             print(f"  {tag}: {detail}")
+    if error is not None:
+        return EXIT_USAGE
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -141,8 +158,8 @@ def _print_verdict_text(verdict: Verdict, model: Model) -> None:
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
-    options = ExploreOptions(max_states=args.max_states, max_depth=args.max_depth,
-                             workers=args.workers)
+    _print_warnings(model)
+    options = ExploreOptions(max_states=args.max_states, max_depth=args.max_depth)
     verdict = explore(model, options)
     payload = verdict_to_json(verdict, model)
     if args.trace_out:
@@ -179,9 +196,9 @@ def cmd_simulate(args) -> int:
             break
         all_steps.extend(TraceStep(e, {}) for e in events)
         results.append(result)
-        snapshots.append(dict(state.env.values))
+        snapshots.append(state.env.as_dict())
         if args.output == "text":
-            env_text = " ".join(f"{k}={v}" for k, v in state.env.values)
+            env_text = " ".join(f"{k}={v}" for k, v in state.env.items())
             print(f"cycle {cycle}: {result.value}  {env_text}")
     payload = {
         "status": "SIMULATED" if not failed else "ABORTED",
@@ -211,6 +228,10 @@ def main(argv=None) -> int:
     except (ModelError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a bug in btv, not in the model: never read as a verdict
+        traceback.print_exc()
+        print("error: internal error (see traceback above)", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

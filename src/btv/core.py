@@ -37,6 +37,11 @@ class TickResult(Enum):
     FAILURE = "FAILURE"
     UNKNOWN = "UNKNOWN"
 
+    # Members are singletons compared by identity, so the identity hash, which
+    # runs in C, agrees with equality; Enum's own hash runs in Python and
+    # dominated the hashing of per-node result vectors.
+    __hash__ = object.__hash__
+
 
 CONTROL_TYPES = (NodeType.SEQUENCE, NodeType.FALLBACK)
 LEAF_TYPES = (NodeType.CONDITION, NodeType.ACTION)

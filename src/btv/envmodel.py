@@ -4,18 +4,27 @@ Variables are integers over a declared finite interval, or booleans.
 Conditions succeed when their predicate holds (failure is the negation, so
 conditions are exhaustive by construction). Actions carry guarded outcome
 rules; guards must cover every reachable valuation, which is checked by
-enumeration at load time for small domains.
+enumeration at load time when the guards' variables span few enough
+valuations.
+
+eval_expr and apply_effects are the executable definition of expressions
+and assignments. compile_expr, compile_predicate and compile_effects turn
+the same expressions into closures over a values tuple for the checker's
+search loop; tests hold them equal to the evaluator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .core import ModelError, TickResult
 
-# Load-time exhaustiveness enumeration is skipped above this many valuations.
+# Load-time exhaustiveness enumeration is skipped above this many valuations
+# of the variables an action's guards mention.
 EXHAUSTIVENESS_ENUM_LIMIT = 10**6
 
 
@@ -118,49 +127,70 @@ class EnvSpec:
     invariants: tuple[tuple[str, Expr], ...] = ()
     root_result_hook: tuple[Assignment, ...] = ()
 
+    @cached_property
+    def slots(self) -> Mapping[str, int]:
+        """Variable name -> position in an EnvState's values tuple."""
+        return {v.name: i for i, v in enumerate(self.variables)}
+
+    @cached_property
+    def compiled_invariants(self) -> tuple[tuple[str, Callable], ...]:
+        return tuple((name, compile_predicate(pred, self.slots))
+                     for name, pred in self.invariants)
+
     def decl(self, name: str) -> VarDecl:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise UnknownVariableError(f"unknown variable {name!r}")
+        slot = self.slots.get(name)
+        if slot is None:
+            raise UnknownVariableError(f"unknown variable {name!r}")
+        return self.variables[slot]
 
     def has(self, name: str) -> bool:
-        return any(v.name == name for v in self.variables)
+        return name in self.slots
 
     def initial_state(self) -> "EnvState":
         for v in self.variables:
             if not v.contains(v.initial):
                 raise DomainViolationError(v.name, v.initial)
-        return EnvState(tuple((v.name, v.initial) for v in self.variables))
+        return EnvState(tuple(v.initial for v in self.variables), self.slots)
 
-    def domain_product_size(self) -> int:
+    def domain_product_size(self, names: Iterable[str]) -> int:
+        """Number of valuations of the named variables."""
         size = 1
-        for v in self.variables:
+        for v in map(self.decl, names):
             size *= 2 if v.is_bool else (v.hi - v.lo + 1)
         return size
 
-    def valuations(self, names: Iterable[str]) -> Iterable[dict]:
-        """All valuations of the given variables over their domains."""
+    def valuations(self, names: Iterable[str]) -> Iterable[tuple]:
+        """All valuations of the given variables over their domains, as
+        values tuples in the order of `names`."""
         decls = [self.decl(n) for n in names]
-        ranges = [(False, True) if d.is_bool else range(d.lo, d.hi + 1) for d in decls]
-        for combo in product(*ranges):
-            yield {d.name: val for d, val in zip(decls, combo)}
+        return product(*[(False, True) if d.is_bool else range(d.lo, d.hi + 1)
+                         for d in decls])
 
 
 @dataclass(frozen=True)
 class EnvState:
-    """A concrete valuation, stored as (name, value) pairs in declaration order."""
+    """A concrete valuation: the values in declaration order.
 
-    values: tuple[tuple[str, int | bool], ...]
+    `slots` maps each name to its position. It is shared with the EnvSpec
+    the state came from and takes no part in equality or hashing, so two
+    valuations are equal exactly when their values tuples are.
+    """
+
+    values: tuple[int | bool, ...]
+    slots: Mapping[str, int] = field(compare=False, repr=False)
 
     def get(self, name: str):
-        for n, val in self.values:
-            if n == name:
-                return val
-        raise UnknownVariableError(f"unknown variable {name!r}")
+        slot = self.slots.get(name)
+        if slot is None:
+            raise UnknownVariableError(f"unknown variable {name!r}")
+        return self.values[slot]
+
+    def items(self) -> tuple[tuple[str, int | bool], ...]:
+        """(name, value) pairs in declaration order."""
+        return tuple(zip(self.slots, self.values))
 
     def as_dict(self) -> dict:
-        return dict(self.values)
+        return dict(zip(self.slots, self.values))
 
 
 # --- leaf behaviors --------------------------------------------------------
@@ -278,6 +308,16 @@ def expr_variables(e: Expr) -> set[str]:
     return set()
 
 
+def domain_checked(decl: VarDecl, value, wrap: bool):
+    """`value` if `decl`'s domain holds it; else wrapped into an integer
+    domain when `wrap` is set, else DomainViolationError."""
+    if decl.contains(value):
+        return value
+    if wrap and not decl.is_bool and isinstance(value, int):
+        return decl.wrap(value)
+    raise DomainViolationError(decl.name, value)
+
+
 def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
                   *, wrap: bool = False) -> EnvState:
     """Apply assignments with simultaneous-read, sequential-write semantics.
@@ -288,37 +328,116 @@ def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
     for root-result hooks).
     """
     staged = [(a.name, eval_expr(a.expr, env)) for a in effects]
-    out = dict(env.values)
+    out = list(env.values)
     for name, value in staged:
-        decl = spec.decl(name)
-        if not decl.contains(value):
-            if wrap and not decl.is_bool and isinstance(value, int):
-                value = decl.wrap(value)
-            else:
-                raise DomainViolationError(name, value)
-        out[name] = value
-    return EnvState(tuple(out.items()))
+        out[env.slots[name]] = domain_checked(spec.decl(name), value, wrap)
+    return EnvState(tuple(out), env.slots)
 
 
 def check_invariants(spec: EnvSpec, env: EnvState) -> list[str]:
     """Names of invariant predicates that evaluate to false."""
+    if env.slots is spec.slots:
+        values = env.values
+        return [name for name, holds in spec.compiled_invariants if not holds(values)]
+    # A valuation laid out by some other spec: go by name.
     return [name for name, pred in spec.invariants
             if not eval_predicate(pred, env)]
 
 
-def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str, behavior: ActionBehavior) -> None:
+def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
+                                 behavior: ActionBehavior) -> str | None:
     """Verify at least one outcome guard holds for every valuation.
 
     Enumerates only the variables the guards mention (other variables cannot
-    influence them). Skipped when the full declared domain product exceeds
-    EXHAUSTIVENESS_ENUM_LIMIT; non-exhaustive actions then surface at run
-    time as deadlocks.
+    influence them). When those variables span more than
+    EXHAUSTIVENESS_ENUM_LIMIT valuations the check is skipped and a warning
+    is returned; a non-exhaustive action then surfaces at run time as a
+    deadlock. Returns None when the check ran and passed.
     """
-    if spec.domain_product_size() > EXHAUSTIVENESS_ENUM_LIMIT:
-        return
     names = sorted(set().union(*[expr_variables(o.guard) for o in behavior.outcomes]))
-    for valuation in spec.valuations(names):
-        probe = EnvState(tuple(valuation.items()))
-        if not any(eval_predicate(o.guard, probe) for o in behavior.outcomes):
-            raise ExhaustivenessError(
-                f"action {leaf!r}: no outcome guard holds for {valuation}")
+    size = spec.domain_product_size(names)
+    if size > EXHAUSTIVENESS_ENUM_LIMIT:
+        return (f"action {leaf!r}: outcome exhaustiveness not checked, its guards "
+                f"range over {size} valuations of {', '.join(names)} (limit "
+                f"{EXHAUSTIVENESS_ENUM_LIMIT})")
+    slots = {n: i for i, n in enumerate(names)}
+    guards = [compile_predicate(o.guard, slots) for o in behavior.outcomes]
+    for values in spec.valuations(names):
+        if not any(holds(values) for holds in guards):
+            raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "
+                                      f"for {dict(zip(names, values))}")
+    return None
+
+
+# --- compiled expressions ------------------------------------------------------
+
+# A compiled expression maps a values tuple, laid out by `slots`, to the value
+# eval_expr gives for the same valuation.
+Compiled = Callable[[tuple], object]
+
+_BINARY = {
+    "+": operator.add, "-": operator.sub,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+
+def compile_expr(e: Expr, slots: Mapping[str, int]) -> Compiled:
+    """A closure computing eval_expr(e, env) from env.values.
+
+    Closures rather than generated source, so that expression depth is
+    bounded by the parser's expression limits, not by the compiler's.
+    """
+    if isinstance(e, (IntLit, BoolLit)):
+        const = e.value
+        return lambda values: const
+    if isinstance(e, VarRef):
+        slot = slots.get(e.name)
+        if slot is None:
+            name = e.name
+
+            def unknown(values):
+                raise UnknownVariableError(f"unknown variable {name!r}")
+            return unknown
+        return operator.itemgetter(slot)
+    if isinstance(e, NotOp):
+        inner = compile_expr(e.operand, slots)
+        return lambda values: not inner(values)
+    if isinstance(e, BinOp):
+        left = compile_expr(e.left, slots)
+        right = compile_expr(e.right, slots)
+        if e.op == "&&":
+            return lambda values: bool(left(values)) and bool(right(values))
+        if e.op == "||":
+            return lambda values: bool(left(values)) or bool(right(values))
+        op = _BINARY[e.op]
+        return lambda values: op(left(values), right(values))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_predicate(p: Expr, slots: Mapping[str, int]) -> Compiled:
+    """compile_expr with eval_predicate's check that the value is a bool."""
+    f = compile_expr(p, slots)
+
+    def checked(values):
+        value = f(values)
+        if not isinstance(value, bool):
+            raise ExpressionTypeError(f"predicate evaluated to non-boolean {value!r}")
+        return value
+    return checked
+
+
+def compile_effects(spec: EnvSpec, effects: Iterable[Assignment], *,
+                    wrap: bool = False) -> Callable[[tuple], tuple]:
+    """A closure computing apply_effects(spec, effects, env, wrap=wrap).values
+    from env.values, for valuations laid out by spec.slots."""
+    staged = [(spec.slots[a.name], compile_expr(a.expr, spec.slots), spec.decl(a.name))
+              for a in effects]
+
+    def apply_all(values):
+        new = [rhs(values) for _, rhs, _ in staged]
+        out = list(values)
+        for (slot, _, decl), value in zip(staged, new):
+            out[slot] = domain_checked(decl, value, wrap)
+        return tuple(out)
+    return apply_all

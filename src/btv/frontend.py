@@ -23,10 +23,16 @@ separate blocks:
 Node ids are assigned breadth-first, left-to-right with root = 0; optional
 `id = N` annotations are verified against that numbering, never trusted.
 Line comments start with //.
+
+Tree nesting, expression height and nesting of parentheses and unary
+operators are limited (MAX_TREE_DEPTH, MAX_EXPR_DEPTH, MAX_EXPR_NESTING) so
+that every recursive walk over a parsed model stays well inside Python's
+recursion limit; deeper input is a ParseError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
@@ -86,6 +92,13 @@ NODE_KINDS = {
     "condition": NodeType.CONDITION,
     "action": NodeType.ACTION,
 }
+
+# The parser, renderer, evaluator and compiler recurse once per tree level
+# or expression level. The parser takes eight frames per parenthesis (two per
+# `!` or unary `-`), so nesting has the lower limit.
+MAX_TREE_DEPTH = 500
+MAX_EXPR_DEPTH = 100
+MAX_EXPR_NESTING = 50
 
 _TWO_CHAR = (":=", "==", "!=", "<=", ">=", "&&", "||", "..")
 _ONE_CHAR = "{}();:=<>+-!,"
@@ -200,6 +213,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.expr_nesting = 0
 
     # token helpers
 
@@ -301,7 +315,7 @@ class _Parser:
         self.expect("{")
         children = []
         while not self.at("}"):
-            children.append(self.parse_node_decl(declared))
+            children.append(self.parse_node_decl(declared, 1))
         self.expect("}")
         self.expect("}")
         return NodeDecl(NodeType.ROOT, "root", explicit_id, children, root_tok.span)
@@ -313,8 +327,11 @@ class _Parser:
             return self.expect_int()
         return None
 
-    def parse_node_decl(self, declared: dict[str, str]) -> NodeDecl:
+    def parse_node_decl(self, declared: dict[str, str], depth: int) -> NodeDecl:
         tok = self.peek()
+        if depth > MAX_TREE_DEPTH:
+            raise ParseError(tok.line, tok.col,
+                             f"tree nested deeper than {MAX_TREE_DEPTH} levels")
         if tok.kind != "ident" or tok.text not in NODE_KINDS:
             if tok.kind == "ident" and tok.text not in KEYWORDS:
                 raise ParseError(tok.line, tok.col, f"unknown node kind {tok.text!r}")
@@ -331,7 +348,7 @@ class _Parser:
         if self.at("{"):
             self.next()
             while not self.at("}"):
-                children.append(self.parse_node_decl(declared))
+                children.append(self.parse_node_decl(declared, depth + 1))
             self.expect("}")
         else:
             self.expect(";")
@@ -429,7 +446,24 @@ class _Parser:
     # expressions: || < && < ! < comparison < additive < atom
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        tok = self.peek()
+        expr = self.parse_or()
+        if self.expr_nesting == 0 and _expr_depth(expr) > MAX_EXPR_DEPTH:
+            raise ParseError(tok.line, tok.col,
+                             f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        return expr
+
+    def nested(self, parse):
+        """parse() one level deeper inside an expression: `(`, `!` or unary `-`."""
+        tok = self.peek()
+        if self.expr_nesting >= MAX_EXPR_NESTING:
+            raise ParseError(tok.line, tok.col,
+                             f"expression nested deeper than {MAX_EXPR_NESTING} levels")
+        self.expr_nesting += 1
+        try:
+            return parse()
+        finally:
+            self.expr_nesting -= 1
 
     def parse_or(self) -> Expr:
         left = self.parse_and()
@@ -448,7 +482,7 @@ class _Parser:
     def parse_not(self) -> Expr:
         if self.at("!"):
             tok = self.next()
-            return NotOp(self.parse_not(), tok.span)
+            return NotOp(self.nested(self.parse_not), tok.span)
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expr:
@@ -473,7 +507,7 @@ class _Parser:
             return IntLit(int(tok.text), tok.span)
         if tok.text == "-":
             self.next()
-            operand = self.parse_atom()
+            operand = self.nested(self.parse_atom)
             if isinstance(operand, IntLit):
                 return IntLit(-operand.value, tok.span)
             return BinOp("-", IntLit(0, tok.span), operand, tok.span)
@@ -485,13 +519,27 @@ class _Parser:
             return BoolLit(False, tok.span)
         if tok.text == "(":
             self.next()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             self.expect(")")
             return inner
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.next()
             return VarRef(tok.text, tok.span)
         raise self.error("an expression")
+
+
+def _expr_depth(e: Expr) -> int:
+    """Height of an expression tree, without recursion."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, NotOp):
+            stack.append((node.operand, depth + 1))
+    return deepest
 
 
 def parse(text: str) -> ModelDocument:
@@ -561,14 +609,20 @@ def elaborate(doc: ModelDocument) -> Model:
 
     Fails on any error-level tree violation, on type errors in expressions,
     on missing or duplicated leaf behaviors, and on actions whose outcome
-    guards are not exhaustive over the declared domains.
+    guards are not exhaustive over the declared domains. Exhaustiveness
+    checks too large to run are listed in the model's `warnings`.
     """
     tree = build_tree(doc)
     report = validate_tree(tree)
     if not report.ok:
         lines = "; ".join(f"{tag}: {detail}" for tag, detail in report.violations)
         raise ElaborationError(f"tree is not well formed: {lines}", report)
+    return _elaborate_tree(doc, tree)
 
+
+def _elaborate_tree(doc: ModelDocument, tree: TreeSpec) -> Model:
+    """elaborate's checks after the tree's: `tree` is build_tree(doc) and
+    has passed validate_tree."""
     env = _build_env(doc)
 
     behaviors: dict[str, LeafBehavior] = {}
@@ -610,11 +664,14 @@ def elaborate(doc: ModelDocument) -> Model:
         if infer_type(pred, env) != "bool":
             raise ElaborationError(f"{span}: invariant {name!r} is not boolean")
 
+    warnings = []
     for node, behavior in behaviors.items():
         if isinstance(behavior, ActionBehavior):
-            check_outcome_exhaustiveness(env, node, behavior)
+            skipped = check_outcome_exhaustiveness(env, node, behavior)
+            if skipped:
+                warnings.append(skipped)
 
-    return Model(tree=tree, env=env, behaviors=behaviors)
+    return Model(tree=tree, env=env, behaviors=behaviors, warnings=tuple(warnings))
 
 
 def load_model(path) -> Model:
@@ -623,8 +680,7 @@ def load_model(path) -> Model:
         data = fh.read()
     doc = parse(data.decode("utf-8"))
     model = elaborate(doc)
-    return Model(model.tree, model.env, model.behaviors,
-                 source_sha256=hashlib.sha256(data).hexdigest())
+    return dataclasses.replace(model, source_sha256=hashlib.sha256(data).hexdigest())
 
 
 def bundled_model_path(name: str):

@@ -10,6 +10,12 @@ A tick cycle runs from an all-unticked state until ROOT_REINITIALIZE fires;
 the root result of the cycle is the one copied up by RESULT_ARRIVED, which
 also runs the model's root-result hook (e.g. timestep bookkeeping).
 
+Only leaf outcomes read the environment. enabled_events is therefore the
+environment-free candidate list of _candidates filtered by each candidate's
+guard, and apply_event is a guard check followed by _fire, whose control
+part (_fire_control) and assignments (_event_effects) the checker reuses to
+build its per-control-id transition lists.
+
 reference_tick is a deliberately separate implementation (plain recursion,
 no events) used to cross-check the machine.
 """
@@ -24,9 +30,11 @@ from typing import Callable, Mapping
 from .core import ModelError, NodeType, TickResult, TreeSpec
 from .envmodel import (
     ActionBehavior,
+    Assignment,
     ConditionBehavior,
     EnvSpec,
     EnvState,
+    Expr,
     LeafBehavior,
     apply_effects,
     eval_predicate,
@@ -73,6 +81,8 @@ class EventKind(Enum):
     COND_OUTCOME = "COND_OUTCOME"
     ACT_OUTCOME = "ACT_OUTCOME"
 
+    __hash__ = object.__hash__  # see TickResult
+
 
 _KIND_ORDER = {k: i for i, k in enumerate(EventKind)}
 
@@ -112,6 +122,8 @@ class Model:
     env: EnvSpec
     behaviors: Mapping[str, LeafBehavior]
     source_sha256: str | None = field(default=None, compare=False)
+    # Load-time checks that had to be skipped, one message each.
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,108 +146,116 @@ def initial_state(model: Model) -> MachineState:
     )
 
 
-def _min_unticked_child(model: Model, state: MachineState, node: str) -> str | None:
-    for c in model.tree.children[node]:  # already ordered by n_id
-        if not state.ticks[model.tree.node_index[c]]:
+# An outcome event's guard: the predicate and the value it must have. Control
+# events need none; they depend on the per-node vectors alone.
+Guard = tuple[Expr, bool]
+
+
+def _min_unticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
+    for c in tree.children[node]:  # already ordered by n_id
+        if not ticks[tree.node_index[c]]:
             return c
     return None
 
 
-def _last_ticked_child(model: Model, state: MachineState, node: str) -> str | None:
+def _last_ticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
     last = None
-    for c in model.tree.children[node]:
-        if state.ticks[model.tree.node_index[c]]:
+    for c in tree.children[node]:
+        if ticks[tree.node_index[c]]:
             last = c
     return last
 
 
-def enabled_events(model: Model, state: MachineState) -> list[Event]:
-    """All events whose guard holds, in canonical enumeration order."""
+def _candidates(model: Model, ticks: tuple, results: tuple
+                ) -> list[tuple[Event, Guard | None]]:
+    """Events the per-node vectors allow, each with the environment guard it
+    still needs (None for control events), in canonical enumeration order.
+
+    Only leaf outcomes read the environment, so this is everything about a
+    state's enabled events that does not depend on the valuation.
+    """
     tree = model.tree
     idx = tree.node_index
-    events: list[Event] = []
+    events: list[tuple[Event, Guard | None]] = []
 
     for node in tree.node_order:
         i = idx[node]
         ntype = tree.n_type[node]
-        ticked = state.ticks[i]
-        result = state.results[i]
+        ticked = ticks[i]
+        result = results[i]
 
         if ntype is NodeType.ROOT:
             if not ticked and result is TickResult.UNKNOWN:
-                events.append(Event(EventKind.TICK_ROOT, node))
+                events.append((Event(EventKind.TICK_ROOT, node), None))
             if ticked:
-                child = _min_unticked_child(model, state, node)
+                child = _min_unticked_child(tree, ticks, node)
                 if child is not None:
-                    events.append(Event(EventKind.ROOT_TICKED, node, child))
+                    events.append((Event(EventKind.ROOT_TICKED, node, child), None))
                 if result is TickResult.UNKNOWN:
                     for c in tree.children[node]:
-                        if state.results[idx[c]] is not TickResult.UNKNOWN:
-                            events.append(Event(EventKind.RESULT_ARRIVED, node, c))
+                        if results[idx[c]] is not TickResult.UNKNOWN:
+                            events.append((Event(EventKind.RESULT_ARRIVED, node, c), None))
                 else:
-                    events.append(Event(EventKind.ROOT_REINITIALIZE, node))
+                    events.append((Event(EventKind.ROOT_REINITIALIZE, node), None))
 
         elif ntype in (NodeType.SEQUENCE, NodeType.FALLBACK):
             if not ticked or result is not TickResult.UNKNOWN:
                 continue
             fb = ntype is NodeType.FALLBACK
-            last = _last_ticked_child(model, state, node)
+            last = _last_ticked_child(tree, ticks, node)
             if last is None:
-                child = _min_unticked_child(model, state, node)
+                child = _min_unticked_child(tree, ticks, node)
                 kind = EventKind.FB_INITIAL if fb else EventKind.SEQ_INITIAL
-                events.append(Event(kind, node, child))
+                events.append((Event(kind, node, child), None))
                 continue
-            last_result = state.results[idx[last]]
-            next_child = _min_unticked_child(model, state, node)
+            last_result = results[idx[last]]
+            next_child = _min_unticked_child(tree, ticks, node)
             if last_result is TickResult.RUNNING:
-                events.append(Event(EventKind.FB_RUNNING if fb else EventKind.SEQ_RUNNING, node))
+                kind = EventKind.FB_RUNNING if fb else EventKind.SEQ_RUNNING
+                events.append((Event(kind, node), None))
             elif last_result is TickResult.SUCCESS:
                 if fb:
-                    events.append(Event(EventKind.FB_SUCCESS, node))
+                    events.append((Event(EventKind.FB_SUCCESS, node), None))
                 elif next_child is None:
-                    events.append(Event(EventKind.SEQ_SUCCESS, node))
+                    events.append((Event(EventKind.SEQ_SUCCESS, node), None))
                 else:
-                    events.append(Event(EventKind.SEQ_CONTINUE, node, next_child))
+                    events.append((Event(EventKind.SEQ_CONTINUE, node, next_child), None))
             elif last_result is TickResult.FAILURE:
                 if not fb:
-                    events.append(Event(EventKind.SEQ_FAILURE, node))
+                    events.append((Event(EventKind.SEQ_FAILURE, node), None))
                 elif next_child is None:
-                    events.append(Event(EventKind.FB_FAILURE, node))
+                    events.append((Event(EventKind.FB_FAILURE, node), None))
                 else:
-                    events.append(Event(EventKind.FB_CONTINUE, node, next_child))
+                    events.append((Event(EventKind.FB_CONTINUE, node, next_child), None))
             # last child still UNKNOWN: subtree being analyzed, nothing enabled
 
         elif ntype is NodeType.CONDITION:
             if ticked and result is TickResult.UNKNOWN:
                 behavior = model.behaviors[node]
                 assert isinstance(behavior, ConditionBehavior)
-                if eval_predicate(behavior.success_when, state.env):
-                    events.append(Event(EventKind.COND_OUTCOME, node,
-                                        outcome=(TickResult.SUCCESS, 0)))
-                else:
-                    events.append(Event(EventKind.COND_OUTCOME, node,
-                                        outcome=(TickResult.FAILURE, 1)))
+                pred = behavior.success_when
+                events.append((Event(EventKind.COND_OUTCOME, node,
+                                     outcome=(TickResult.SUCCESS, 0)), (pred, True)))
+                events.append((Event(EventKind.COND_OUTCOME, node,
+                                     outcome=(TickResult.FAILURE, 1)), (pred, False)))
 
         elif ntype is NodeType.ACTION:
             if ticked and result is TickResult.UNKNOWN:
                 behavior = model.behaviors[node]
                 assert isinstance(behavior, ActionBehavior)
                 for rule_i, outcome in enumerate(behavior.outcomes):
-                    if eval_predicate(outcome.guard, state.env):
-                        events.append(Event(EventKind.ACT_OUTCOME, node,
-                                            outcome=(outcome.result, rule_i)))
+                    events.append((Event(EventKind.ACT_OUTCOME, node,
+                                         outcome=(outcome.result, rule_i)),
+                                   (outcome.guard, True)))
 
-    events.sort(key=lambda e: e.sort_key(tree))
+    events.sort(key=lambda pair: pair[0].sort_key(tree))
     return events
 
 
-def _with(state: MachineState, *, ticks=None, results=None, analyzing=None, env=None):
-    return MachineState(
-        ticks=ticks if ticks is not None else state.ticks,
-        results=results if results is not None else state.results,
-        analyzing=analyzing if analyzing is not None else state.analyzing,
-        env=env if env is not None else state.env,
-    )
+def enabled_events(model: Model, state: MachineState) -> list[Event]:
+    """All events whose guard holds, in canonical enumeration order."""
+    return [e for e, guard in _candidates(model, state.ticks, state.results)
+            if guard is None or eval_predicate(guard[0], state.env) == guard[1]]
 
 
 def _set(tup: tuple, i: int, value) -> tuple:
@@ -250,63 +270,68 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
     """
     if e not in enabled_events(model, state):
         raise EventNotEnabledError(f"event not enabled: {e.describe()}")
+    return _fire(model, state, e)
 
+
+def _fire(model: Model, state: MachineState, e: Event) -> MachineState:
+    """apply_event without the guard check."""
+    control = _fire_control(model, (state.ticks, state.results, state.analyzing), e)
+    effects, wrap = _event_effects(model, e)
+    env = apply_effects(model.env, effects, state.env, wrap=wrap) if effects else state.env
+    return MachineState(*control, env=env)
+
+
+def _event_effects(model: Model, e: Event) -> tuple[tuple[Assignment, ...], bool]:
+    """The assignments an event makes, and whether they wrap into the domain."""
+    if e.kind is EventKind.RESULT_ARRIVED:
+        return model.env.root_result_hook, True
+    if e.kind is EventKind.ACT_OUTCOME:
+        return model.behaviors[e.node].outcomes[e.outcome[1]].effects, False
+    return (), False
+
+
+def _fire_control(model: Model, control: tuple[tuple, tuple, tuple], e: Event
+                  ) -> tuple[tuple, tuple, tuple]:
+    """The (ticks, results, analyzing) vectors after event `e`."""
+    ticks, results, analyzing = control
     tree = model.tree
     idx = tree.node_index
     i = idx[e.node]
     k = e.kind
 
     if k is EventKind.TICK_ROOT:
-        return _with(state, ticks=_set(state.ticks, i, True))
+        return _set(ticks, i, True), results, analyzing
 
     if k is EventKind.ROOT_TICKED:
         ci = idx[e.child]
-        return _with(state, ticks=_set(state.ticks, ci, True),
-                     analyzing=_set(state.analyzing, ci, True))
+        return _set(ticks, ci, True), results, _set(analyzing, ci, True)
 
     if k is EventKind.RESULT_ARRIVED:
-        child_result = state.results[idx[e.child]]
-        env = apply_effects(model.env, model.env.root_result_hook, state.env, wrap=True)
-        return _with(state, results=_set(state.results, i, child_result), env=env)
+        return ticks, _set(results, i, results[idx[e.child]]), analyzing
 
     if k is EventKind.ROOT_REINITIALIZE:
         n = len(tree.node_order)
-        return _with(state, ticks=(False,) * n, results=(TickResult.UNKNOWN,) * n)
+        return (False,) * n, (TickResult.UNKNOWN,) * n, analyzing
 
     if k in (EventKind.FB_INITIAL, EventKind.SEQ_INITIAL,
              EventKind.FB_CONTINUE, EventKind.SEQ_CONTINUE):
-        ci = idx[e.child]
-        return _with(state, ticks=_set(state.ticks, ci, True),
-                     analyzing=_set(state.analyzing, i, True))
+        return _set(ticks, idx[e.child], True), results, _set(analyzing, i, True)
 
     if k in (EventKind.FB_SUCCESS, EventKind.SEQ_SUCCESS):
-        return _resolve(model, state, e.node, TickResult.SUCCESS)
-    if k in (EventKind.FB_RUNNING, EventKind.SEQ_RUNNING):
-        return _resolve(model, state, e.node, TickResult.RUNNING)
-    if k in (EventKind.FB_FAILURE, EventKind.SEQ_FAILURE):
-        return _resolve(model, state, e.node, TickResult.FAILURE)
-
-    if k is EventKind.COND_OUTCOME:
-        return _resolve(model, state, e.node, e.outcome[0])
-
-    if k is EventKind.ACT_OUTCOME:
-        behavior = model.behaviors[e.node]
-        rule = behavior.outcomes[e.outcome[1]]
-        env = apply_effects(model.env, rule.effects, state.env)
-        return _resolve(model, _with(state, env=env), e.node, e.outcome[0])
-
-    raise AssertionError(f"unhandled event kind {k}")
-
-
-def _resolve(model: Model, state: MachineState, node: str, result: TickResult) -> MachineState:
-    """Record a node's result and clear the parent's analyzing flag."""
-    idx = model.tree.node_index
-    analyzing = state.analyzing
-    parent = model.tree.parent.get(node)
+        result = TickResult.SUCCESS
+    elif k in (EventKind.FB_RUNNING, EventKind.SEQ_RUNNING):
+        result = TickResult.RUNNING
+    elif k in (EventKind.FB_FAILURE, EventKind.SEQ_FAILURE):
+        result = TickResult.FAILURE
+    elif k in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
+        result = e.outcome[0]
+    else:
+        raise AssertionError(f"unhandled event kind {k}")
+    # Record the node's result and clear the parent's analyzing flag.
+    parent = tree.parent.get(e.node)
     if parent is not None:
         analyzing = _set(analyzing, idx[parent], False)
-    return _with(state, results=_set(state.results, idx[node], result),
-                 analyzing=analyzing)
+    return ticks, _set(results, i, result), analyzing
 
 
 # --- schedulers and cycles --------------------------------------------------

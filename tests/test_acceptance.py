@@ -168,17 +168,3 @@ def test_criterion_7_machine_state_invariants():
                 on_state=counting(machine_invariant_checker(model)))
     report(7, True, f"invariants held in all {states_seen} discovered states")
 
-
-def test_criterion_8_worker_determinism():
-    """Verdicts and state counts identical across 1..4 workers."""
-    agree = True
-    details = []
-    for name in BUNDLED:
-        model = load_model(bundled_model_path(name))
-        verdicts = [explore(model, ExploreOptions(workers=w)) for w in (1, 2, 4)]
-        keys = {(v.status, v.states_explored, v.transitions) for v in verdicts}
-        traces = {tuple(s.event for s in v.counterexample) if v.counterexample
-                  else None for v in verdicts}
-        agree = agree and len(keys) == 1 and len(traces) == 1
-        details.append(f"{name}:{verdicts[0].states_explored}")
-    report(8, agree, "identical across 1/2/4 workers (" + ", ".join(details) + ")")

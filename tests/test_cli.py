@@ -5,6 +5,7 @@ import pytest
 from btv import bundled_model_path, load_model
 from btv.checker import replay, load_trace_file
 from btv.cli import main
+from btv.core import validate_tree
 
 ROBOT_WALL = str(bundled_model_path("robot_wall.bt"))
 BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
@@ -99,13 +100,6 @@ def test_check_trace_out_replays(capsys, tmp_path):
     assert final.env.get("distance_to_object") == 2
 
 
-def test_check_workers_flag(capsys):
-    code1, out1, _ = run(capsys, "check", ROBOT_WALL, "--workers", "1")
-    code4, out4, _ = run(capsys, "check", ROBOT_WALL, "--workers", "4")
-    assert code1 == code4 == 0
-    assert out1 == out4
-
-
 def test_simulate_robot_wall(capsys):
     code, out, _ = run(capsys, "simulate", ROBOT_WALL, "--ticks", "8")
     assert code == 0
@@ -185,3 +179,110 @@ def test_exhaustiveness_failure_stops_before_explore(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "no outcome guard" in err
+
+
+def test_exhaustiveness_bounded_by_guard_variables(capsys, tmp_path):
+    # 10^7 valuations in all, which once skipped the check and let `check`
+    # report HOLDS; the guard reads only x, whose 100 values are enumerated.
+    path = tmp_path / "half.bt"
+    path.write_text("""
+    tree { root { action a; } }
+    env { var x: int in 0..99 = 0; var y: int in 0..999 = 0; var z: int in 0..99 = 0; }
+    action a { outcome SUCCESS when x < 50; }
+    """)
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "no outcome guard holds for {'x': 50}" in err
+
+
+def test_validate_reports_load_errors(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "half.bt"
+    path.write_text("""
+    tree { root { action a; } }
+    env { var x: int in 0..99 = 0; }
+    action a { outcome SUCCESS when x < 50; }
+    """)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert "error: action 'a': no outcome guard holds for {'x': 50}" in err
+
+    import btv.cli
+    import btv.frontend
+    calls = []
+
+    def counted(tree):
+        calls.append(tree)
+        return validate_tree(tree)
+    monkeypatch.setattr(btv.cli, "validate_tree", counted)
+    monkeypatch.setattr(btv.frontend, "validate_tree", counted)
+    code, out, _ = run(capsys, "validate", str(path), "--output", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["nodes"] == 2
+    assert "no outcome guard holds for {'x': 50}" in payload["error"]
+    assert len(calls) == 1
+
+
+def test_skipped_exhaustiveness_is_reported(capsys, tmp_path):
+    path = tmp_path / "wide.bt"
+    path.write_text("""
+    tree { root { action a; } }
+    env { var x: int in 0..500 = 1; var y: int in 0..500 = 0; var z: int in 0..200 = 0; }
+    action a { outcome SUCCESS when x + y + z >= 1; }
+    """)
+    for command in ("validate", "check"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 0
+        assert err.startswith("warning: action 'a': outcome exhaustiveness not checked")
+
+
+def nested_tree(depth: int) -> str:
+    opening = "".join(f"sequence s{i} {{ " for i in range(depth))
+    return (f"tree {{ root {{ {opening}condition c; {'} ' * depth}}} }}\n"
+            "env { var x: int in 0..1 = 0; }\n"
+            "condition c { success_when: x == 0; }\n")
+
+
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.bt"
+    path.write_text(nested_tree(2000))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "tree nested deeper than" in err
+
+    path.write_text("tree { root { condition c; } }\n"
+                    "env { var x: int in 0..1 = 0; }\n"
+                    f"condition c {{ success_when: {'(' * 3000}x == 0{')' * 3000}; }}\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "expression nested deeper than" in err
+
+    chain = " + ".join(["x"] * 2000)
+    path.write_text("tree { root { condition c; } }\n"
+                    "env { var x: int in 0..1 = 0; }\n"
+                    f"condition c {{ success_when: {chain} == 0; }}\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "expression nested deeper than" in err
+
+
+def test_300_deep_tree_loads_and_checks(capsys, tmp_path):
+    path = tmp_path / "deep.bt"
+    path.write_text(nested_tree(300))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert out.startswith("HOLDS")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    import btv.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(btv.cli, "explore", broken)
+    code, out, err = run(capsys, "check", ROBOT_WALL)
+    assert code == btv.cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "RuntimeError: boom" in err and "internal error" in err

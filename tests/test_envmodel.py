@@ -21,6 +21,9 @@ from btv.envmodel import (
     apply_effects,
     check_invariants,
     check_outcome_exhaustiveness,
+    compile_effects,
+    compile_expr,
+    compile_predicate,
     eval_expr,
     eval_predicate,
     infer_type,
@@ -29,7 +32,7 @@ from btv.core import TickResult
 
 
 def env_of(**values):
-    return EnvState(tuple(values.items()))
+    return EnvState(tuple(values.values()), {n: i for i, n in enumerate(values)})
 
 
 def spec_of(*decls, invariants=(), hook=()):
@@ -149,9 +152,25 @@ def test_exhaustiveness_gap_is_found():
 def test_exhaustiveness_skipped_for_huge_domains():
     spec = spec_of(VarDecl("x", 0, 200, 0), VarDecl("y", 0, 200, 0),
                    VarDecl("z", 0, 200, 0))
-    behavior = ActionBehavior((ActionOutcome(BoolLit(False), TickResult.SUCCESS),))
-    # product 201^3 > 10^6: deferred to runtime, no error here
-    check_outcome_exhaustiveness(spec, "a1", behavior)
+    total = BinOp("+", BinOp("+", VarRef("x"), VarRef("y")), VarRef("z"))
+    behavior = ActionBehavior((ActionOutcome(BinOp("<", total, IntLit(0)),
+                                             TickResult.SUCCESS),))
+    # the guard's variables span 201^3 > 10^6 valuations: deferred to
+    # runtime with a warning, no error here
+    warning = check_outcome_exhaustiveness(spec, "a1", behavior)
+    assert "'a1'" in warning and "8120601 valuations of x, y, z" in warning
+
+
+def test_exhaustiveness_bounded_by_guard_variables_only():
+    # 10^7 valuations in all, but the guard reads only x: checked, and the
+    # gap at x >= 50 is found
+    spec = spec_of(VarDecl("x", 0, 99, 0), VarDecl("y", 0, 999, 0),
+                   VarDecl("z", 0, 99, 0))
+    behavior = ActionBehavior((ActionOutcome(BinOp("<", VarRef("x"), IntLit(50)),
+                                             TickResult.SUCCESS),))
+    with pytest.raises(ExhaustivenessError) as err:
+        check_outcome_exhaustiveness(spec, "a1", behavior)
+    assert "'x': 50" in str(err.value)
 
 
 def test_infer_type_rules():
@@ -211,3 +230,65 @@ def test_eval_matches_cpython(expr, x, y):
     env = env_of(x=x, y=y)
     expected = eval(to_python(expr), {}, {"x": x, "y": y})
     assert eval_expr(expr, env) == expected
+
+
+# --- compiled closures vs evaluator ---------------------------------------------
+
+XYF = spec_of(VarDecl("x", -20, 20, 0), VarDecl("y", -20, 20, 0),
+              VarDecl("f", None, None, False))
+
+typed_bool_exprs = st.recursive(
+    st.one_of(st.booleans().map(BoolLit), st.just(VarRef("f")),
+              st.tuples(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+                        int_exprs, int_exprs).map(lambda t: BinOp(t[0], t[1], t[2]))),
+    lambda sub: st.one_of(
+        sub.map(NotOp),
+        st.tuples(st.sampled_from(["&&", "||"]), sub, sub)
+        .map(lambda t: BinOp(t[0], t[1], t[2]))),
+    max_leaves=8,
+)
+
+valuations = st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.booleans())
+
+
+def outcome(fn, *args):
+    """fn's value with its exact type, or the error it raised."""
+    try:
+        value = fn(*args)
+    except (ExpressionTypeError, DomainViolationError) as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+@given(st.one_of(int_exprs, typed_bool_exprs), valuations)
+@settings(max_examples=300)
+def test_compiled_expressions_match_evaluator(expr, values):
+    env = EnvState(values, XYF.slots)
+    assert outcome(compile_expr(expr, XYF.slots), values) == outcome(eval_expr, expr, env)
+    assert outcome(compile_predicate(expr, XYF.slots), values) == \
+        outcome(eval_predicate, expr, env)
+
+
+small_int_exprs = st.recursive(
+    st.one_of(st.integers(-3, 3).map(IntLit), st.sampled_from(["x", "y"]).map(VarRef)),
+    lambda sub: st.tuples(st.sampled_from(["+", "-"]), sub, sub)
+    .map(lambda t: BinOp(t[0], t[1], t[2])),
+    max_leaves=4,
+)
+assignments = st.lists(
+    st.one_of(st.tuples(st.sampled_from(["x", "y"]), small_int_exprs),
+              st.tuples(st.just("f"), typed_bool_exprs))
+    .map(lambda t: Assignment(*t)),
+    min_size=1, max_size=3)
+
+
+@given(assignments, st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
+       st.booleans())
+@settings(max_examples=300)
+def test_compiled_effects_match_apply_effects(effects, values, wrap):
+    spec = spec_of(VarDecl("x", 0, 4, 0), VarDecl("y", 0, 4, 0),
+                   VarDecl("f", None, None, False))
+    env = EnvState(values, spec.slots)
+    compiled = outcome(compile_effects(spec, effects, wrap=wrap), values)
+    expected = outcome(lambda: apply_effects(spec, effects, env, wrap=wrap).values)
+    assert compiled == expected

@@ -3,6 +3,9 @@ import pytest
 from btv import bundled_model_path
 from btv.core import NodeType
 from btv.frontend import (
+    MAX_EXPR_DEPTH,
+    MAX_EXPR_NESTING,
+    MAX_TREE_DEPTH,
     ElaborationError,
     ParseError,
     build_tree,
@@ -52,6 +55,55 @@ def test_parse_duplicate_node_name_reports_both_spans():
     message = str(err.value)
     assert "dup" in message
     assert "first declared at" in message
+
+
+def nested_source(tree_depth: int, pred: str) -> str:
+    opening = "".join(f"sequence s{i} {{ " for i in range(tree_depth - 1))
+    return (f"tree {{ root {{ {opening}condition c; {'} ' * (tree_depth - 1)}}} }}\n"
+            "env { var x: int in 0..1 = 0; }\n"
+            f"condition c {{ success_when: {pred}; }}\n")
+
+
+def at_stack_depth(frames: int, fn):
+    """fn() called with `frames` more frames on the stack."""
+    return fn() if frames == 0 else at_stack_depth(frames - 1, fn)
+
+
+# Height exactly MAX_EXPR_DEPTH: a chain of MAX_EXPR_DEPTH - 1 terms, then `== 0`.
+TALL = " + ".join(["x"] * (MAX_EXPR_DEPTH - 1)) + " == 0"
+PARENS = "(" * MAX_EXPR_NESTING + "x == 0" + ")" * MAX_EXPR_NESTING
+NOTS = "!" * MAX_EXPR_NESTING + "x == 0"
+
+
+def test_nesting_at_the_limits_loads_and_runs():
+    doc = parse(nested_source(MAX_TREE_DEPTH, TALL))
+    depth, decl = 0, doc.tree_root
+    while decl.children:
+        depth, decl = depth + 1, decl.children[0]
+    assert depth == MAX_TREE_DEPTH
+    from btv.checker import Status, explore
+    for pred in (TALL, NOTS):
+        model = elaborate(parse(nested_source(1, pred)))  # a short tree keeps this fast
+        assert parse(render_model(model)).conditions[0].success_when == \
+            model.behaviors["c"].success_when
+        assert explore(model).status is Status.HOLDS
+    assert elaborate(parse(nested_source(1, PARENS))).behaviors["c"] == \
+        elaborate(parse(nested_source(1, "x == 0"))).behaviors["c"]
+    with pytest.raises(ParseError, match="expression nested deeper"):
+        parse(nested_source(1, "x + " + TALL))
+    with pytest.raises(ParseError, match="expression nested deeper"):
+        parse(nested_source(1, "!" + NOTS))
+    with pytest.raises(ParseError, match="expression nested deeper"):
+        parse(nested_source(1, "(" + PARENS + ")"))
+    with pytest.raises(ParseError, match="tree nested deeper"):
+        parse(nested_source(MAX_TREE_DEPTH + 1, "true"))
+
+
+def test_input_at_the_limits_parses_from_a_deep_stack():
+    # Headroom for a library caller that is already 200 frames deep.
+    for source in (nested_source(MAX_TREE_DEPTH, "true"), nested_source(1, TALL),
+                   nested_source(1, PARENS), nested_source(1, NOTS)):
+        at_stack_depth(200, lambda: elaborate(parse(source)))
 
 
 def test_parse_unknown_node_kind():
