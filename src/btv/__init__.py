@@ -11,8 +11,6 @@ from .core import (
     TickResult,
     TreeSpec,
     ValidationReport,
-    ordered_children,
-    transitive_closure,
     validate_tree,
 )
 from .envmodel import EnvSpec, EnvState, apply_effects, check_invariants, eval_predicate
@@ -37,6 +35,6 @@ __all__ = [
     "ValidationReport", "Verdict", "apply_effects", "apply_event",
     "bundled_model_path", "check_invariants", "cycle_outcomes", "elaborate",
     "enabled_events", "eval_predicate", "explore", "initial_state",
-    "load_model", "ordered_children", "parse", "reference_tick", "render_model",
-    "replay", "tick_cycle", "transitive_closure", "validate_tree",
+    "load_model", "parse", "reference_tick", "render_model", "replay",
+    "tick_cycle", "validate_tree",
 ]

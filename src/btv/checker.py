@@ -377,6 +377,7 @@ def verdict_to_json(verdict: Verdict, model: Model | None = None) -> dict:
             "depth": verdict.stats.depth,
         },
         "model_sha256": model.source_sha256 if model else None,
+        "warnings": list(model.warnings) if model else [],
     }
 
 

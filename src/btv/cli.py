@@ -90,8 +90,8 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _print_warnings(model: Model) -> None:
-    for warning in model.warnings:
+def _print_warnings(warnings: tuple[str, ...]) -> None:
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
 
@@ -100,12 +100,14 @@ def cmd_validate(args) -> int:
     tree = build_tree(doc)
     report = validate_tree(tree)
     error = None
+    warnings: tuple[str, ...] = ()
     if report.ok:
         # The remaining load-time checks: types, behaviors, exhaustiveness.
         try:
-            _print_warnings(_elaborate_tree(doc, tree))
+            warnings = _elaborate_tree(doc, tree).warnings
         except ModelError as err:
             error = str(err)
+    _print_warnings(warnings)
     if args.output == "json":
         payload = {
             "ok": report.ok and error is None,
@@ -113,6 +115,7 @@ def cmd_validate(args) -> int:
             "violations": [{"tag": tag, "detail": detail}
                            for tag, detail in report.violations],
             "error": error,
+            "warnings": list(warnings),
         }
         print(json.dumps(payload, indent=2))
     elif error is not None:
@@ -158,7 +161,7 @@ def _print_verdict_text(verdict: Verdict, model: Model) -> None:
 
 def cmd_check(args) -> int:
     model = load_model(args.model)
-    _print_warnings(model)
+    _print_warnings(model.warnings)
     options = ExploreOptions(max_states=args.max_states, max_depth=args.max_depth)
     verdict = explore(model, options)
     payload = verdict_to_json(verdict, model)

@@ -2,17 +2,18 @@
 
 A tree is well formed when it has a single root, every other node has a
 parent, the parent graph is acyclic, and every node is reachable from the
-root. Violations are reported, not raised, so callers can show all problems
-at once.
+root. Reachability (REQ4), the breadth-first numbering and node depths all
+come from one breadth-first walk from the root over `TreeSpec.children`.
+Violations are reported, not raised, so callers can show all problems at
+once.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ModelError(Exception):
@@ -45,32 +46,6 @@ class TickResult(Enum):
 
 CONTROL_TYPES = (NodeType.SEQUENCE, NodeType.FALLBACK)
 LEAF_TYPES = (NodeType.CONDITION, NodeType.ACTION)
-
-
-def transitive_closure(rel: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Least transitive relation containing `rel`, as a worklist fixpoint.
-
-    Whenever (a,b) joins the closure, so must (a,c) for every (b,c) already
-    present and (x,b) for every (x,a) already present.
-    """
-    closure: set[tuple[str, str]] = set()
-    succ: dict[str, set[str]] = {}
-    pred: dict[str, set[str]] = {}
-    work = deque(rel)
-    while work:
-        a, b = work.popleft()
-        if (a, b) in closure:
-            continue
-        closure.add((a, b))
-        succ.setdefault(a, set()).add(b)
-        pred.setdefault(b, set()).add(a)
-        for c in succ.get(b, ()):
-            if (a, c) not in closure:
-                work.append((a, c))
-        for x in pred.get(a, ()):
-            if (x, b) not in closure:
-                work.append((x, b))
-    return frozenset(closure)
 
 
 @dataclass(frozen=True)
@@ -118,21 +93,25 @@ class TreeSpec:
 
     @cached_property
     def depth(self) -> Mapping[str, int]:
-        depths = {self.root: 0}
-        work = deque([self.root])
-        while work:
-            n = work.popleft()
-            for c in self.children[n]:
-                depths[c] = depths[n] + 1
-                work.append(c)
+        order = _walk(self, self.root)
+        depths = {order[0]: 0}
+        for c in order[1:]:
+            depths[c] = depths[self.parent[c]] + 1
         return depths
 
 
-def ordered_children(spec: TreeSpec, node: str) -> list[str]:
-    """Children of `node` sorted ascending by n_id; empty for leaves."""
-    if node not in spec.nodes:
-        raise UnknownNodeError(f"unknown node {node!r}")
-    return list(spec.children[node])
+def _walk(spec: TreeSpec, root: str) -> list[str]:
+    """Nodes reachable from `root` along `children`, breadth-first and left
+    to right. Each node is visited once, so parent cycles end the walk, and
+    names that are not declared nodes are skipped."""
+    order = [root]
+    seen = {root}
+    for n in order:
+        for c in spec.children[n]:
+            if c not in seen and c in spec.children:
+                seen.add(c)
+                order.append(c)
+    return order
 
 
 @dataclass(frozen=True)
@@ -170,8 +149,8 @@ def _parent_cycles(spec: TreeSpec) -> list[list[str]]:
 def validate_tree(spec: TreeSpec) -> ValidationReport:
     """Check Req1-Req4 plus id and arity rules; report every violation.
 
-    REQ3 is cycle detection on parent edges; REQ4 is computed through
-    transitive_closure of the child relation from the root. ID_BFS_WARN is
+    REQ3 is cycle detection on parent edges; REQ4 is breadth-first
+    reachability from the root along the child relation. ID_BFS_WARN is
     the only warning-level entry: ids that are unique but do not follow
     breadth-first, left-to-right numbering.
     """
@@ -192,15 +171,14 @@ def validate_tree(spec: TreeSpec) -> ValidationReport:
             v.append(("REQ2", f"non-root node {n!r} has no parent"))
         elif par not in spec.nodes:
             v.append(("REQ2", f"parent of {n!r} is unknown node {par!r}"))
+    for n in sorted(spec.parent.keys() - spec.nodes):
+        v.append(("REQ2", f"parent entry for unknown node {n!r}"))
 
     for cycle in _parent_cycles(spec):
         v.append(("REQ3", "parent cycle: " + " -> ".join(cycle + cycle[:1])))
 
     if roots:
-        ref_root = roots[0]
-        child_rel = [(p, c) for c, p in spec.parent.items() if p in spec.nodes]
-        reachable = {b for a, b in transitive_closure(child_rel) if a == ref_root}
-        reachable.add(ref_root)
+        reachable = set(_walk(spec, roots[0]))
         for n in spec.node_order:
             if n not in reachable:
                 v.append(("REQ4", f"node {n!r} is not reachable from the root"))
@@ -244,12 +222,4 @@ def bfs_numbering(spec: TreeSpec) -> dict[str, int]:
     Sibling order is taken from the declared n_id values, so this is the
     canonical renumbering of a structurally valid tree.
     """
-    out: dict[str, int] = {}
-    work = deque([spec.root])
-    counter = 0
-    while work:
-        n = work.popleft()
-        out[n] = counter
-        counter += 1
-        work.extend(spec.children[n])
-    return out
+    return {n: i for i, n in enumerate(_walk(spec, spec.root))}

@@ -86,13 +86,6 @@ class EventKind(Enum):
 
 _KIND_ORDER = {k: i for i, k in enumerate(EventKind)}
 
-# Events that bind a child parameter.
-CHILD_EVENTS = frozenset({
-    EventKind.ROOT_TICKED, EventKind.RESULT_ARRIVED,
-    EventKind.FB_INITIAL, EventKind.FB_CONTINUE,
-    EventKind.SEQ_INITIAL, EventKind.SEQ_CONTINUE,
-})
-
 
 @dataclass(frozen=True)
 class Event:

@@ -6,6 +6,7 @@ from btv import bundled_model_path, load_model
 from btv.checker import replay, load_trace_file
 from btv.cli import main
 from btv.core import validate_tree
+from btv.frontend import MAX_TREE_DEPTH
 
 ROBOT_WALL = str(bundled_model_path("robot_wall.bt"))
 BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
@@ -82,6 +83,7 @@ def test_check_json_verdict(capsys):
     assert payload["violated_invariant"] == "safe"
     assert payload["counterexample"][-1]["event"] == "ACT_OUTCOME"
     assert payload["model_sha256"]
+    assert payload["warnings"] == []
 
 
 def test_check_bound_exceeded(capsys):
@@ -235,6 +237,12 @@ def test_skipped_exhaustiveness_is_reported(capsys, tmp_path):
         code, _, err = run(capsys, command, str(path))
         assert code == 0
         assert err.startswith("warning: action 'a': outcome exhaustiveness not checked")
+        code, out, _ = run(capsys, command, str(path), "--output", "json")
+        assert code == 0
+        assert json.loads(out)["warnings"] == [err.removeprefix("warning: ").rstrip("\n")]
+    trace = tmp_path / "verdict.json"
+    run(capsys, "check", str(path), "--trace-out", str(trace))
+    assert json.loads(trace.read_text())["warnings"] == json.loads(out)["warnings"]
 
 
 def nested_tree(depth: int) -> str:
@@ -267,9 +275,9 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     assert "expression nested deeper than" in err
 
 
-def test_300_deep_tree_loads_and_checks(capsys, tmp_path):
+def test_tree_at_the_depth_limit_loads_and_checks(capsys, tmp_path):
     path = tmp_path / "deep.bt"
-    path.write_text(nested_tree(300))
+    path.write_text(nested_tree(MAX_TREE_DEPTH - 1))  # the condition is one level lower
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert out.startswith("HOLDS")

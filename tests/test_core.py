@@ -1,18 +1,47 @@
+from collections import deque
+from typing import Iterable
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btv.core import (
+    CONTROL_TYPES,
+    LEAF_TYPES,
     NodeType,
     TreeSpec,
-    UnknownNodeError,
-    ordered_children,
-    transitive_closure,
+    bfs_numbering,
     validate_tree,
 )
 
 NODES = "abcdefgh"
+
+
+# REQ4's definition by closure: the oracle for validate_tree's breadth-first walk.
+def transitive_closure(rel: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """Least transitive relation containing `rel`, as a worklist fixpoint.
+
+    Whenever (a,b) joins the closure, so must (a,c) for every (b,c) already
+    present and (x,b) for every (x,a) already present.
+    """
+    closure: set[tuple[str, str]] = set()
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
+    work = deque(rel)
+    while work:
+        a, b = work.popleft()
+        if (a, b) in closure:
+            continue
+        closure.add((a, b))
+        succ.setdefault(a, set()).add(b)
+        pred.setdefault(b, set()).add(a)
+        for c in succ.get(b, ()):
+            if (a, c) not in closure:
+                work.append((a, c))
+        for x in pred.get(a, ()):
+            if (x, b) not in closure:
+                work.append((x, b))
+    return frozenset(closure)
 
 
 def closure_by_matrix(rel, universe):
@@ -176,18 +205,16 @@ def test_validate_is_pure():
 
 def test_ordered_children():
     spec = case_study_spec()
-    assert ordered_children(spec, "sequence_1") == ["condition_1", "action_1"]
-    assert ordered_children(spec, "action_1") == []
-    assert ordered_children(spec, "root") == ["sequence_1"]
-    with pytest.raises(UnknownNodeError):
-        ordered_children(spec, "nope")
+    assert spec.children["sequence_1"] == ("condition_1", "action_1")
+    assert spec.children["action_1"] == ()
+    assert spec.children["root"] == ("sequence_1",)
 
 
 def test_ordered_children_partition_non_root():
     spec = case_study_spec()
     gathered = []
     for n in spec.nodes:
-        gathered.extend(ordered_children(spec, n))
+        gathered.extend(spec.children[n])
     assert sorted(gathered) == sorted(spec.nodes - {"root"})
 
 
@@ -203,5 +230,95 @@ def test_valid_trees_closure_reaches_everything():
         assert image == tree.nodes - {tree.root}
         gathered = []
         for n in tree.nodes:
-            gathered.extend(ordered_children(tree, n))
+            gathered.extend(tree.children[n])
         assert sorted(gathered) == sorted(tree.nodes - {tree.root})
+        assert tree.depth == depth_by_parent_chain(tree)
+        assert bfs_numbering(tree) == numbering_by_level(tree)
+
+
+def test_parent_entry_for_undeclared_node_is_req2():
+    spec = TreeSpec.build(
+        n_type={"root": NodeType.ROOT, "s": NodeType.SEQUENCE, "c": NodeType.CONDITION},
+        n_id={"root": 0, "s": 1, "c": 2},
+        parent={"s": "root", "c": "s", "ghost": "s"},
+    )
+    report = validate_tree(spec)
+    assert report.violations == (("REQ2", "parent entry for unknown node 'ghost'"),)
+    assert bfs_numbering(spec) == {"root": 0, "s": 1, "c": 2}
+    assert spec.depth == {"root": 0, "s": 1, "c": 2}
+
+
+# --- REQ4, depth and numbering against their definitions ----------------------
+
+def depth_by_parent_chain(spec: TreeSpec) -> dict[str, int]:
+    """Depth of a node: the number of parent edges between it and the root."""
+    def depth(n):
+        return 0 if n == spec.root else depth(spec.parent[n]) + 1
+    return {n: depth(n) for n in spec.nodes}
+
+
+def numbering_by_level(spec: TreeSpec) -> dict[str, int]:
+    """Breadth-first, left-to-right numbering: nodes sorted by depth, then by
+    the sibling positions along their path from the root."""
+    def path(n):
+        if n == spec.root:
+            return ()
+        par = spec.parent[n]
+        return path(par) + (spec.children[par].index(n),)
+    paths = {n: path(n) for n in spec.nodes}
+    order = sorted(spec.nodes, key=lambda n: (len(paths[n]), paths[n]))
+    return {n: i for i, n in enumerate(order)}
+
+
+@st.composite
+def well_formed_specs(draw):
+    """Valid trees: a random shape, types that fit it, ids in any order."""
+    names = [f"n{i}" for i in range(draw(st.integers(2, 10)))]
+    parent = {names[1]: names[0]}
+    for i in range(2, len(names)):
+        parent[names[i]] = names[draw(st.integers(1, i - 1))]
+    inner = set(parent.values())
+    n_type = {n: draw(st.sampled_from(CONTROL_TYPES if n in inner else LEAF_TYPES))
+              for n in names[1:]}
+    n_type[names[0]] = NodeType.ROOT
+    ids = draw(st.permutations(range(len(names))))
+    return TreeSpec.build(n_type, dict(zip(names, ids)), parent)
+
+
+UNDECLARED = ["ghost", "zz"]
+
+
+@st.composite
+def arbitrary_specs(draw):
+    """Any number of roots, cycles, orphans, parents that name unknown nodes,
+    parent entries for undeclared nodes, and duplicate ids."""
+    names = draw(st.lists(st.sampled_from(NODES), min_size=1, max_size=8, unique=True))
+    n_type = {n: draw(st.sampled_from(list(NodeType))) for n in names}
+    n_id = {n: draw(st.integers(0, 9)) for n in names}
+    parent_names = st.sampled_from(names + UNDECLARED)
+    parent = {}
+    for n in names + draw(st.lists(st.sampled_from(UNDECLARED), unique=True)):
+        p = draw(st.none() | parent_names)
+        if p is not None:
+            parent[n] = p
+    return TreeSpec.build(n_type, n_id, parent)
+
+
+@given(st.one_of(well_formed_specs(), arbitrary_specs()))
+@settings(max_examples=500)
+def test_req4_depth_and_numbering_match_definitions(spec):
+    report = validate_tree(spec)  # a report, never an exception
+
+    roots = [n for n in spec.node_order if spec.n_type[n] is NodeType.ROOT]
+    unreachable = []
+    if roots:
+        child_rel = [(p, c) for c, p in spec.parent.items()
+                     if p in spec.nodes and c in spec.nodes]
+        image = {b for a, b in transitive_closure(child_rel) if a == roots[0]}
+        unreachable = [n for n in spec.node_order if n not in image | {roots[0]}]
+    assert [detail for tag, detail in report.violations if tag == "REQ4"] == \
+        [f"node {n!r} is not reachable from the root" for n in unreachable]
+
+    if report.ok:
+        assert spec.depth == depth_by_parent_chain(spec)
+        assert bfs_numbering(spec) == numbering_by_level(spec)

@@ -83,7 +83,8 @@ def test_nesting_at_the_limits_loads_and_runs():
     assert depth == MAX_TREE_DEPTH
     from btv.checker import Status, explore
     for pred in (TALL, NOTS):
-        model = elaborate(parse(nested_source(1, pred)))  # a short tree keeps this fast
+        model = elaborate(parse(nested_source(MAX_TREE_DEPTH, pred)))
+        assert max(model.tree.depth.values()) == MAX_TREE_DEPTH
         assert parse(render_model(model)).conditions[0].success_when == \
             model.behaviors["c"].success_when
         assert explore(model).status is Status.HOLDS

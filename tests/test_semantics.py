@@ -227,8 +227,9 @@ def test_random_policy_reproducible(rw):
 def test_event_field_shape_over_exploration(rw, fallback_running):
     """child is bound exactly by the six delegating/copying kinds, outcome
     exactly by the two leaf kinds, and condition outcomes are never RUNNING."""
-    from btv.semantics import CHILD_EVENTS
-
+    child_kinds = {EventKind.ROOT_TICKED, EventKind.RESULT_ARRIVED,
+                   EventKind.FB_INITIAL, EventKind.FB_CONTINUE,
+                   EventKind.SEQ_INITIAL, EventKind.SEQ_CONTINUE}
     leaf_kinds = {EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME}
     for model in (rw, fallback_running):
         seen = {initial_state(model)}
@@ -236,7 +237,7 @@ def test_event_field_shape_over_exploration(rw, fallback_running):
         while stack:
             state = stack.pop()
             for e in enabled_events(model, state):
-                assert (e.child is not None) == (e.kind in CHILD_EVENTS)
+                assert (e.child is not None) == (e.kind in child_kinds)
                 assert (e.outcome is not None) == (e.kind in leaf_kinds)
                 if e.kind is EventKind.COND_OUTCOME:
                     assert e.outcome[0] in (S, F)
