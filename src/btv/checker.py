@@ -3,7 +3,7 @@
 Breadth-first search over all event interleavings from the initial state,
 with global deduplication of states. Every discovered state (including the
 initial one) is checked against the model's invariants; the first problem in
-BFS order wins, tie-broken by the canonical event enumeration order, so
+BFS order wins, tie-broken by the rule order of the enabled events, so
 counterexamples are minimal in transition count and reproducible.
 
 The search runs over packed states, one flat tuple (control id, *env values)
@@ -148,7 +148,7 @@ class _Automaton:
                             EnvState(state[1:], self.model.env.slots))
 
     def event_between(self, state: tuple, successor: tuple) -> Event:
-        """The first event, in canonical order, leading from state to successor."""
+        """The first event, in rule order, leading from state to successor."""
         values = state[1:]
         for event, test, apply, nxt in self.transitions(state[0]):
             if nxt != successor[0] or test is not None and not test(values):

@@ -55,6 +55,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="btv", description="Behavior tree verifier")
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="exhaustively verify invariants")
     common(p_check)
     p_check.add_argument("--max-states", type=positive_int, default=1_000_000)
-    p_check.add_argument("--max-depth", type=int, default=None)
+    p_check.add_argument("--max-depth", type=nonnegative_int, default=None)
     p_check.add_argument("--trace-out", default=None,
                          help="write the verdict (with any counterexample) as JSON")
 

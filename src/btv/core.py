@@ -185,7 +185,10 @@ def validate_tree(spec: TreeSpec) -> ValidationReport:
 
     by_id: dict[int, list[str]] = {}
     for n in spec.node_order:
-        by_id.setdefault(spec.n_id[n], []).append(n)
+        if n in spec.n_id:
+            by_id.setdefault(spec.n_id[n], []).append(n)
+        else:
+            v.append(("ID_UNIQUE", f"node {n!r} has no n_id"))
     for nid, ns in sorted(by_id.items()):
         if len(ns) > 1:
             v.append(("ID_UNIQUE", f"n_id {nid} assigned to {', '.join(ns)}"))

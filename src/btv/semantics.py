@@ -3,8 +3,9 @@
 The machine state is (ticked?, result, analyzing-subtree?) per node plus the
 environment valuation. Each event is enabled by a guard over that state and
 rewrites it atomically. Control nodes advance left-to-right through their
-children by n_id: the next child to tick is the minimal-id unticked child,
-the child just analyzed is the maximal-id ticked child.
+children by n_id. In every reachable state the ticked nodes still waiting
+for a result form one path down from the root, and only the last node on
+that path can move: all enabled events are that node's, in rule order.
 
 A tick cycle runs from an all-unticked state until ROOT_REINITIALIZE fires;
 the root result of the cycle is the one copied up by RESULT_ARRIVED, which
@@ -29,9 +30,7 @@ from typing import Callable, Mapping
 
 from .core import ModelError, NodeType, TickResult, TreeSpec
 from .envmodel import (
-    ActionBehavior,
     Assignment,
-    ConditionBehavior,
     EnvSpec,
     EnvState,
     Expr,
@@ -62,8 +61,6 @@ class OracleInapplicableError(ModelError):
 
 
 class EventKind(Enum):
-    # Declaration order is the canonical enumeration order used for
-    # deterministic tie-breaking everywhere.
     TICK_ROOT = "TICK_ROOT"
     ROOT_TICKED = "ROOT_TICKED"
     RESULT_ARRIVED = "RESULT_ARRIVED"
@@ -84,19 +81,12 @@ class EventKind(Enum):
     __hash__ = object.__hash__  # see TickResult
 
 
-_KIND_ORDER = {k: i for i, k in enumerate(EventKind)}
-
-
 @dataclass(frozen=True)
 class Event:
     kind: EventKind
     node: str
     child: str | None = None
     outcome: tuple[TickResult, int] | None = None  # (result, rule index) for leaves
-
-    def sort_key(self, tree: TreeSpec) -> tuple:
-        rule = self.outcome[1] if self.outcome else -1
-        return (_KIND_ORDER[self.kind], tree.n_id[self.node], rule)
 
     def describe(self) -> str:
         parts = [self.kind.value, self.node]
@@ -144,109 +134,78 @@ def initial_state(model: Model) -> MachineState:
 Guard = tuple[Expr, bool]
 
 
-def _min_unticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
-    for c in tree.children[node]:  # already ordered by n_id
-        if not ticks[tree.node_index[c]]:
-            return c
-    return None
-
-
-def _last_ticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
-    last = None
-    for c in tree.children[node]:
-        if ticks[tree.node_index[c]]:
-            last = c
-    return last
-
-
 def _candidates(model: Model, ticks: tuple, results: tuple
                 ) -> list[tuple[Event, Guard | None]]:
     """Events the per-node vectors allow, each with the environment guard it
-    still needs (None for control events), in canonical enumeration order.
+    still needs (None for control events), in rule order.
 
-    Only leaf outcomes read the environment, so this is everything about a
-    state's enabled events that does not depend on the valuation.
+    The ticked nodes still waiting for a result form one path down from the
+    root, and only the last node on it can move, so every event belongs to
+    that node. Only leaf outcomes read the environment, so this is
+    everything about a state's enabled events that does not depend on the
+    valuation.
     """
     tree = model.tree
     idx = tree.node_index
-    events: list[tuple[Event, Guard | None]] = []
+    node = tree.root
+    while True:
+        # Follow the last ticked child while it is still waiting for a result.
+        kids = tree.children[node]
+        pos = len(kids) - 1
+        while pos >= 0 and not ticks[idx[kids[pos]]]:
+            pos -= 1
+        if pos < 0 or results[idx[kids[pos]]] is not TickResult.UNKNOWN:
+            break
+        node = kids[pos]
+    i = idx[node]
+    ntype = tree.n_type[node]
 
-    for node in tree.node_order:
-        i = idx[node]
-        ntype = tree.n_type[node]
-        ticked = ticks[i]
-        result = results[i]
+    if ntype is NodeType.ROOT:
+        if not ticks[i]:
+            return [(Event(EventKind.TICK_ROOT, node), None)]
+        if results[i] is not TickResult.UNKNOWN:
+            return [(Event(EventKind.ROOT_REINITIALIZE, node), None)]
+        if pos < 0:
+            return [(Event(EventKind.ROOT_TICKED, node, kids[0]), None)]
+        return [(Event(EventKind.RESULT_ARRIVED, node, kids[pos]), None)]
 
-        if ntype is NodeType.ROOT:
-            if not ticked and result is TickResult.UNKNOWN:
-                events.append((Event(EventKind.TICK_ROOT, node), None))
-            if ticked:
-                child = _min_unticked_child(tree, ticks, node)
-                if child is not None:
-                    events.append((Event(EventKind.ROOT_TICKED, node, child), None))
-                if result is TickResult.UNKNOWN:
-                    for c in tree.children[node]:
-                        if results[idx[c]] is not TickResult.UNKNOWN:
-                            events.append((Event(EventKind.RESULT_ARRIVED, node, c), None))
-                else:
-                    events.append((Event(EventKind.ROOT_REINITIALIZE, node), None))
+    if ntype is NodeType.CONDITION:
+        pred = model.behaviors[node].success_when
+        return [(Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.SUCCESS, 0)),
+                 (pred, True)),
+                (Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.FAILURE, 1)),
+                 (pred, False))]
 
-        elif ntype in (NodeType.SEQUENCE, NodeType.FALLBACK):
-            if not ticked or result is not TickResult.UNKNOWN:
-                continue
-            fb = ntype is NodeType.FALLBACK
-            last = _last_ticked_child(tree, ticks, node)
-            if last is None:
-                child = _min_unticked_child(tree, ticks, node)
-                kind = EventKind.FB_INITIAL if fb else EventKind.SEQ_INITIAL
-                events.append((Event(kind, node, child), None))
-                continue
-            last_result = results[idx[last]]
-            next_child = _min_unticked_child(tree, ticks, node)
-            if last_result is TickResult.RUNNING:
-                kind = EventKind.FB_RUNNING if fb else EventKind.SEQ_RUNNING
-                events.append((Event(kind, node), None))
-            elif last_result is TickResult.SUCCESS:
-                if fb:
-                    events.append((Event(EventKind.FB_SUCCESS, node), None))
-                elif next_child is None:
-                    events.append((Event(EventKind.SEQ_SUCCESS, node), None))
-                else:
-                    events.append((Event(EventKind.SEQ_CONTINUE, node, next_child), None))
-            elif last_result is TickResult.FAILURE:
-                if not fb:
-                    events.append((Event(EventKind.SEQ_FAILURE, node), None))
-                elif next_child is None:
-                    events.append((Event(EventKind.FB_FAILURE, node), None))
-                else:
-                    events.append((Event(EventKind.FB_CONTINUE, node, next_child), None))
-            # last child still UNKNOWN: subtree being analyzed, nothing enabled
+    if ntype is NodeType.ACTION:
+        return [(Event(EventKind.ACT_OUTCOME, node, outcome=(outcome.result, rule_i)),
+                 (outcome.guard, True))
+                for rule_i, outcome in enumerate(model.behaviors[node].outcomes)]
 
-        elif ntype is NodeType.CONDITION:
-            if ticked and result is TickResult.UNKNOWN:
-                behavior = model.behaviors[node]
-                assert isinstance(behavior, ConditionBehavior)
-                pred = behavior.success_when
-                events.append((Event(EventKind.COND_OUTCOME, node,
-                                     outcome=(TickResult.SUCCESS, 0)), (pred, True)))
-                events.append((Event(EventKind.COND_OUTCOME, node,
-                                     outcome=(TickResult.FAILURE, 1)), (pred, False)))
-
-        elif ntype is NodeType.ACTION:
-            if ticked and result is TickResult.UNKNOWN:
-                behavior = model.behaviors[node]
-                assert isinstance(behavior, ActionBehavior)
-                for rule_i, outcome in enumerate(behavior.outcomes):
-                    events.append((Event(EventKind.ACT_OUTCOME, node,
-                                         outcome=(outcome.result, rule_i)),
-                                   (outcome.guard, True)))
-
-    events.sort(key=lambda pair: pair[0].sort_key(tree))
-    return events
+    # A sequence moves on to its next child after a SUCCESS, a fallback after
+    # a FAILURE; any other result of the last child is the node's own.
+    seq = ntype is NodeType.SEQUENCE
+    if pos < 0:
+        kind = EventKind.SEQ_INITIAL if seq else EventKind.FB_INITIAL
+        return [(Event(kind, node, kids[0]), None)]
+    last = results[idx[kids[pos]]]
+    if last is TickResult.RUNNING:
+        kind = EventKind.SEQ_RUNNING if seq else EventKind.FB_RUNNING
+    elif last is not (TickResult.SUCCESS if seq else TickResult.FAILURE):
+        kind = EventKind.SEQ_FAILURE if seq else EventKind.FB_SUCCESS
+    elif pos + 1 < len(kids):
+        kind = EventKind.SEQ_CONTINUE if seq else EventKind.FB_CONTINUE
+        return [(Event(kind, node, kids[pos + 1]), None)]
+    else:
+        kind = EventKind.SEQ_SUCCESS if seq else EventKind.FB_FAILURE
+    return [(Event(kind, node), None)]
 
 
 def enabled_events(model: Model, state: MachineState) -> list[Event]:
-    """All events whose guard holds, in canonical enumeration order."""
+    """All events whose guard holds, in rule order.
+
+    Defined on states reached from initial_state: the derivation in
+    _candidates relies on the shape those states have.
+    """
     return [e for e, guard in _candidates(model, state.ticks, state.results)
             if guard is None or eval_predicate(guard[0], state.env) == guard[1]]
 
@@ -333,19 +292,9 @@ Policy = Callable[[list[Event], "Model", MachineState], Event]
 
 
 def deterministic_policy(enabled: list[Event], model: Model, state: MachineState) -> Event:
-    """Fixed priority: TICK_ROOT, then control events deepest-first, then
-    leaf outcomes; ties broken by minimal n_id, then rule index."""
-    def key(e: Event):
-        if e.kind is EventKind.TICK_ROOT:
-            group = 0
-        elif e.kind in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
-            group = 2
-        else:
-            group = 1
-        depth = model.tree.depth.get(e.node, 0)
-        rule = e.outcome[1] if e.outcome else -1
-        return (group, -depth, model.tree.n_id[e.node], rule)
-    return min(enabled, key=key)
+    """The first enabled event. All of them belong to the one node that can
+    move, so this is its lowest enabled rule."""
+    return enabled[0]
 
 
 def random_policy(rng: random.Random) -> Policy:

@@ -3,6 +3,9 @@
 The enumeration helpers here deliberately avoid checker.py's machinery
 (packed states, control ids, compiled expressions): they walk the raw
 semantics so the checker has something independent to be compared against.
+walk_candidates and priority_key are the earlier every-node derivation of a
+state's events and the deterministic policy's old key, kept as the oracles
+for semantics._candidates and deterministic_policy.
 """
 
 from __future__ import annotations
@@ -11,9 +14,22 @@ import pytest
 
 from btv import bundled_model_path, load_model
 from btv.checker import ExploreOptions, Stats, Status, TraceStep, Verdict
-from btv.core import TickResult
-from btv.envmodel import DomainViolationError, eval_predicate
-from btv.semantics import Model, apply_event, enabled_events, initial_state
+from btv.core import NodeType, TickResult, TreeSpec
+from btv.envmodel import (
+    ActionBehavior,
+    ConditionBehavior,
+    DomainViolationError,
+    eval_predicate,
+)
+from btv.semantics import (
+    Event,
+    EventKind,
+    Guard,
+    Model,
+    apply_event,
+    enabled_events,
+    initial_state,
+)
 
 
 @pytest.fixture(scope="session")
@@ -206,3 +222,127 @@ def _spec_delta(model: Model, before, after) -> dict:
     if env:
         delta["env"] = env
     return delta
+
+
+# --- the every-node walk that semantics._candidates replaced -----------------
+
+# EventKind declaration order: the walk's order between nodes.
+_KIND_ORDER = {k: i for i, k in enumerate(EventKind)}
+
+
+def event_sort_key(event: Event, tree) -> tuple:
+    rule = event.outcome[1] if event.outcome else -1
+    return (_KIND_ORDER[event.kind], tree.n_id[event.node], rule)
+
+
+def _min_unticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
+    for c in tree.children[node]:  # already ordered by n_id
+        if not ticks[tree.node_index[c]]:
+            return c
+    return None
+
+
+def _last_ticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
+    last = None
+    for c in tree.children[node]:
+        if ticks[tree.node_index[c]]:
+            last = c
+    return last
+
+
+def walk_candidates(model: Model, ticks: tuple, results: tuple) -> list:
+    """semantics._candidates as a literal reading of each event's guard: test
+    every node of the tree, then sort what was found by event_sort_key."""
+    tree = model.tree
+    idx = tree.node_index
+    events: list[tuple[Event, Guard | None]] = []
+
+    for node in tree.node_order:
+        i = idx[node]
+        ntype = tree.n_type[node]
+        ticked = ticks[i]
+        result = results[i]
+
+        if ntype is NodeType.ROOT:
+            if not ticked and result is TickResult.UNKNOWN:
+                events.append((Event(EventKind.TICK_ROOT, node), None))
+            if ticked:
+                child = _min_unticked_child(tree, ticks, node)
+                if child is not None:
+                    events.append((Event(EventKind.ROOT_TICKED, node, child), None))
+                if result is TickResult.UNKNOWN:
+                    for c in tree.children[node]:
+                        if results[idx[c]] is not TickResult.UNKNOWN:
+                            events.append((Event(EventKind.RESULT_ARRIVED, node, c), None))
+                else:
+                    events.append((Event(EventKind.ROOT_REINITIALIZE, node), None))
+
+        elif ntype in (NodeType.SEQUENCE, NodeType.FALLBACK):
+            if not ticked or result is not TickResult.UNKNOWN:
+                continue
+            fb = ntype is NodeType.FALLBACK
+            last = _last_ticked_child(tree, ticks, node)
+            if last is None:
+                child = _min_unticked_child(tree, ticks, node)
+                kind = EventKind.FB_INITIAL if fb else EventKind.SEQ_INITIAL
+                events.append((Event(kind, node, child), None))
+                continue
+            last_result = results[idx[last]]
+            next_child = _min_unticked_child(tree, ticks, node)
+            if last_result is TickResult.RUNNING:
+                kind = EventKind.FB_RUNNING if fb else EventKind.SEQ_RUNNING
+                events.append((Event(kind, node), None))
+            elif last_result is TickResult.SUCCESS:
+                if fb:
+                    events.append((Event(EventKind.FB_SUCCESS, node), None))
+                elif next_child is None:
+                    events.append((Event(EventKind.SEQ_SUCCESS, node), None))
+                else:
+                    events.append((Event(EventKind.SEQ_CONTINUE, node, next_child), None))
+            elif last_result is TickResult.FAILURE:
+                if not fb:
+                    events.append((Event(EventKind.SEQ_FAILURE, node), None))
+                elif next_child is None:
+                    events.append((Event(EventKind.FB_FAILURE, node), None))
+                else:
+                    events.append((Event(EventKind.FB_CONTINUE, node, next_child), None))
+            # last child still UNKNOWN: subtree being analyzed, nothing enabled
+
+        elif ntype is NodeType.CONDITION:
+            if ticked and result is TickResult.UNKNOWN:
+                behavior = model.behaviors[node]
+                assert isinstance(behavior, ConditionBehavior)
+                pred = behavior.success_when
+                events.append((Event(EventKind.COND_OUTCOME, node,
+                                     outcome=(TickResult.SUCCESS, 0)), (pred, True)))
+                events.append((Event(EventKind.COND_OUTCOME, node,
+                                     outcome=(TickResult.FAILURE, 1)), (pred, False)))
+
+        elif ntype is NodeType.ACTION:
+            if ticked and result is TickResult.UNKNOWN:
+                behavior = model.behaviors[node]
+                assert isinstance(behavior, ActionBehavior)
+                for rule_i, outcome in enumerate(behavior.outcomes):
+                    events.append((Event(EventKind.ACT_OUTCOME, node,
+                                         outcome=(outcome.result, rule_i)),
+                                   (outcome.guard, True)))
+
+    events.sort(key=lambda pair: event_sort_key(pair[0], tree))
+    return events
+
+
+def priority_key(model: Model):
+    """The key deterministic_policy once took the min of: TICK_ROOT, then
+    control events deepest-first, then leaf outcomes; ties broken by minimal
+    n_id, then rule index."""
+    def key(e: Event):
+        if e.kind is EventKind.TICK_ROOT:
+            group = 0
+        elif e.kind in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
+            group = 2
+        else:
+            group = 1
+        depth = model.tree.depth.get(e.node, 0)
+        rule = e.outcome[1] if e.outcome else -1
+        return (group, -depth, model.tree.n_id[e.node], rule)
+    return key

@@ -171,6 +171,16 @@ def test_nonpositive_max_states_rejected(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_max_depth_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", ROBOT_WALL, "--max-depth", "-3"])
+    assert exc.value.code == 2
+    # Depth 0 checks the initial state only.
+    code, out, _ = run(capsys, "check", ROBOT_WALL, "--max-depth", "0")
+    assert code == 3
+    assert "max depth 0 reached with 1 frontier states unexplored" in out
+
+
 def test_exhaustiveness_failure_stops_before_explore(capsys, tmp_path):
     path = tmp_path / "gap.bt"
     path.write_text("""

@@ -167,6 +167,12 @@ def test_duplicate_id():
     assert "ID_UNIQUE" in validate_tree(spec).tags()
 
 
+def test_missing_id_is_reported():
+    spec = TreeSpec.build({"root": NodeType.ROOT, "c": NodeType.CONDITION},
+                          {"root": 0}, {"c": "root"})
+    assert validate_tree(spec).violations == (("ID_UNIQUE", "node 'c' has no n_id"),)
+
+
 def test_root_with_two_children():
     spec = TreeSpec.build(
         n_type={"root": NodeType.ROOT, "c1": NodeType.CONDITION,
@@ -291,10 +297,12 @@ UNDECLARED = ["ghost", "zz"]
 @st.composite
 def arbitrary_specs(draw):
     """Any number of roots, cycles, orphans, parents that name unknown nodes,
-    parent entries for undeclared nodes, and duplicate ids."""
+    parent entries for undeclared nodes, duplicate ids and missing ids."""
     names = draw(st.lists(st.sampled_from(NODES), min_size=1, max_size=8, unique=True))
     n_type = {n: draw(st.sampled_from(list(NodeType))) for n in names}
     n_id = {n: draw(st.integers(0, 9)) for n in names}
+    for n in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        del n_id[n]
     parent_names = st.sampled_from(names + UNDECLARED)
     parent = {}
     for n in names + draw(st.lists(st.sampled_from(UNDECLARED), unique=True)):
