@@ -6,14 +6,17 @@ initial one) is checked against the model's invariants; the first problem in
 BFS order wins, tie-broken by the rule order of the enabled events, so
 counterexamples are minimal in transition count and reproducible.
 
-The search runs over packed states, one flat tuple (control id, *env values)
-per state. A control id names a distinct (ticks, results, analyzing) vector
-triple. Only leaf outcomes read the environment, so a control id's candidate
-events and each event's next control id are the same in every state that
-shares it; they are computed once, on the first visit, by the executable
-spec in btv.semantics, with guards and effects compiled to closures over the
-values tuple. Packed states are decoded to MachineState only at the public
-boundary: on_state, counterexamples and their state deltas.
+The search runs over packed states. A control id names a distinct (ticks,
+results, analyzing) vector triple. Only leaf outcomes read the environment,
+so a control id's candidate events and each event's next control id are the
+same in every state that shares it; they are computed once, on the first
+visit, by the executable spec in btv.semantics, with guards and effects
+compiled to closures over the env values tuple. Every discovered state is
+stored as one exact mixed-radix int of its control id and values (see
+StatePacking), mapped to its parent's int; values tuples live only on the
+frontier, where guards and effects read them. States are unpacked and
+decoded to MachineState only at the public boundary: on_state,
+counterexamples and their state deltas.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 
 from .core import TickResult
 from .envmodel import (
     DomainViolationError,
+    EnvSpec,
     EnvState,
     check_invariants,
     compile_effects,
@@ -44,6 +49,10 @@ from .semantics import (
     enabled_events,
     initial_state,
 )
+
+
+# Verdict.detail of a search stopped by KeyboardInterrupt (Ctrl-C).
+INTERRUPTED = "interrupted"
 
 
 class ReplayError(Exception):
@@ -94,16 +103,59 @@ class Verdict:
     stats: Stats = field(default_factory=Stats)
 
 
+class StatePacking:
+    """Exact ints for (control id, env values) pairs of one EnvSpec.
+
+    The key is cid * span + sum((v_i - lo_i) * w_i): bools count as 0/1 with
+    lo 0, span is the product of the domain sizes and w_i the product of the
+    sizes of the slots after i. On in-domain values this is a bijection, so
+    keys are equal exactly when the pairs are.
+    """
+
+    def __init__(self, spec: EnvSpec):
+        # (size, lo, is_bool) from the last slot to the first, as unpack
+        # peels the digits off.
+        self._digits = []
+        weights = []
+        weight = 1
+        for var in reversed(spec.variables):
+            lo = 0 if var.is_bool else var.lo
+            size = 2 if var.is_bool else var.hi - var.lo + 1
+            self._digits.append((size, lo, var.is_bool))
+            weights.append(weight)
+            weight *= size
+        self.span = weight
+        self.weights = tuple(reversed(weights))
+        # Folds the lower bounds in, so a key is base + dot(values, weights).
+        self.base = -sum(lo * w for (_, lo, _), w in zip(self._digits, weights))
+
+    def pack(self, cid: int, values: tuple) -> int:
+        return cid * self.span + self.base + sum(map(mul, values, self.weights))
+
+    def unpack(self, key: int) -> tuple:
+        """(cid, *values), with bools as bool."""
+        cid, rest = divmod(key, self.span)
+        values = []
+        for size, lo, is_bool in self._digits:
+            rest, digit = divmod(rest, size)
+            values.append(digit == 1 if is_bool else lo + digit)
+        values.append(cid)
+        return tuple(reversed(values))
+
+
 class _Automaton:
     """Control ids and their transition lists, built on first use.
 
-    A transition is (event, guard, effects, next control id): `guard` maps
-    the env values tuple to whether the event is enabled, `effects` maps it
-    to the successor's values; either is None when the event has none.
+    A transition is (event, guard, effects, next control id, shift): `guard`
+    maps the env values tuple to whether the event is enabled, `effects`
+    maps it to the successor's values; either is None when the event has
+    none. `shift` gives the successor's key: without effects it is
+    key + shift, with effects it is shift + dot(new values, weights).
     """
 
     def __init__(self, model: Model):
         self.model = model
+        self.packing = StatePacking(model.env)
         self.ids: dict[tuple, int] = {}
         self.controls: list[tuple] = []
         self.table: list[list | None] = []
@@ -121,10 +173,14 @@ class _Automaton:
         out = self.table[cid]
         if out is None:
             model, control = self.model, self.controls[cid]
-            out = self.table[cid] = [
-                (event, *self._compile(event, guard),
-                 self.intern(_fire_control(model, control, event)))
-                for event, guard in _candidates(model, control[0], control[1])]
+            span, base = self.packing.span, self.packing.base
+            out = []
+            for event, guard in _candidates(model, control[0], control[1]):
+                test, apply = self._compile(event, guard)
+                nxt = self.intern(_fire_control(model, control, event))
+                shift = (nxt - cid) * span if apply is None else nxt * span + base
+                out.append((event, test, apply, nxt, shift))
+            self.table[cid] = out
         return out
 
     def _compile(self, event: Event, guard) -> tuple:
@@ -150,7 +206,7 @@ class _Automaton:
     def event_between(self, state: tuple, successor: tuple) -> Event:
         """The first event, in rule order, leading from state to successor."""
         values = state[1:]
-        for event, test, apply, nxt in self.transitions(state[0]):
+        for event, test, apply, nxt, _ in self.transitions(state[0]):
             if nxt != successor[0] or test is not None and not test(values):
                 continue
             if (apply(values) if apply is not None else values) == successor[1:]:
@@ -169,7 +225,8 @@ def explore(model: Model, options: ExploreOptions | None = None,
     Returns HOLDS with the exact reachable-state count, or the first
     VIOLATED / DEADLOCK / DOMAIN_VIOLATION in BFS order with a replayable
     counterexample, or BOUND_EXCEEDED when max_states/max_depth cut the
-    search short. `on_state` is called once per discovered state.
+    search short or KeyboardInterrupt stops it (detail INTERRUPTED), with
+    the counts so far. `on_state` is called once per discovered state.
     """
     opts = options or ExploreOptions()
     started = time.perf_counter()
@@ -177,11 +234,14 @@ def explore(model: Model, options: ExploreOptions | None = None,
     spec = model.env
     slots = spec.slots
     auto = _Automaton(model)
+    span, weights = auto.packing.span, auto.packing.weights
 
     start = initial_state(model)
-    init = (auto.intern((start.ticks, start.results, start.analyzing)),) + start.env.values
-    # Each discovered state maps to the state it was first reached from.
-    visited: dict[tuple, tuple | None] = {init: None}
+    init_values = start.env.values
+    init = auto.packing.pack(
+        auto.intern((start.ticks, start.results, start.analyzing)), init_values)
+    # Each discovered state's key maps to the key it was first reached from.
+    visited: dict[int, int | None] = {init: None}
     transitions = 0
     if on_state:
         on_state(start)
@@ -203,73 +263,84 @@ def explore(model: Model, options: ExploreOptions | None = None,
 
     table = auto.table
     max_states = opts.max_states
-    frontier = [init]
+    # The frontier: parallel lists of keys and their values tuples.
+    keys, frontier_values = [init], [init_values]
     depth = 0
-    while frontier:
-        stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-        stats.depth = depth
-        if opts.max_depth is not None and depth >= opts.max_depth:
-            return finish(Status.BOUND_EXCEEDED,
-                          detail=f"max depth {opts.max_depth} reached with "
-                                 f"{len(frontier)} frontier states unexplored")
-        next_frontier: list[tuple] = []
-        for state in frontier:
-            values = state[1:]
-            enabled = False
-            for event, test, apply, nxt in table[state[0]] or auto.transitions(state[0]):
-                if test is not None and not test(values):
-                    continue
-                enabled = True
-                transitions += 1
-                if apply is None:
-                    new_values = values
-                else:
-                    try:
-                        new_values = apply(values)
-                    except DomainViolationError as err:
-                        return finish(
-                            Status.DOMAIN_VIOLATION, bad_state=state,
-                            violating_event=event,
-                            detail=f"{event.describe()}: {err.name} := {err.value} "
-                                   "leaves the declared domain")
-                successor = (nxt,) + new_values
-                if successor in visited:
-                    continue
-                if len(visited) >= max_states:
-                    return finish(Status.BOUND_EXCEEDED,
-                                  detail=f"max states {max_states} reached")
-                visited[successor] = state
-                if on_state:
-                    on_state(auto.decode(successor))
-                violated = check_invariants(spec, EnvState(new_values, slots))
-                if violated:
-                    return finish(Status.VIOLATED, bad_state=successor,
-                                  invariant=violated[0])
-                next_frontier.append(successor)
-            if not enabled:
-                return finish(Status.DEADLOCK, bad_state=state,
-                              detail="no event enabled in a non-final state")
-        frontier = next_frontier
-        depth += 1
+    try:
+        while keys:
+            stats.peak_frontier = max(stats.peak_frontier, len(keys))
+            stats.depth = depth
+            if opts.max_depth is not None and depth >= opts.max_depth:
+                return finish(Status.BOUND_EXCEEDED,
+                              detail=f"max depth {opts.max_depth} reached with "
+                                     f"{len(keys)} frontier states unexplored")
+            next_keys: list[int] = []
+            next_values: list[tuple] = []
+            for key, values in zip(keys, frontier_values):
+                cid = key // span
+                enabled = False
+                for event, test, apply, nxt, shift in table[cid] or auto.transitions(cid):
+                    if test is not None and not test(values):
+                        continue
+                    enabled = True
+                    transitions += 1
+                    if apply is None:
+                        new_values = values
+                        successor = key + shift
+                    else:
+                        try:
+                            new_values = apply(values)
+                        except DomainViolationError as err:
+                            return finish(
+                                Status.DOMAIN_VIOLATION, bad_state=key,
+                                violating_event=event,
+                                detail=f"{event.describe()}: {err.name} := {err.value} "
+                                       "leaves the declared domain")
+                        successor = shift + sum(map(mul, new_values, weights))
+                    if successor in visited:
+                        continue
+                    if len(visited) >= max_states:
+                        return finish(Status.BOUND_EXCEEDED,
+                                      detail=f"max states {max_states} reached")
+                    visited[successor] = key
+                    if on_state:
+                        on_state(auto.decode((nxt,) + new_values))
+                    violated = check_invariants(spec, EnvState(new_values, slots))
+                    if violated:
+                        return finish(Status.VIOLATED, bad_state=successor,
+                                      invariant=violated[0])
+                    next_keys.append(successor)
+                    next_values.append(new_values)
+                if not enabled:
+                    return finish(Status.DEADLOCK, bad_state=key,
+                                  detail="no event enabled in a non-final state")
+            keys, frontier_values = next_keys, next_values
+            depth += 1
+    except KeyboardInterrupt:
+        return finish(Status.BOUND_EXCEEDED, detail=INTERRUPTED)
 
     stats.wall_time_s = time.perf_counter() - started
     return Verdict(Status.HOLDS, len(visited), transitions, stats=stats)
 
 
 def _trace_to(model: Model, auto: _Automaton, visited: dict,
-              target: tuple) -> list[TraceStep]:
-    """Rebuild the event path to `target`, annotating each step with deltas."""
+              target: int) -> list[TraceStep]:
+    """Rebuild the event path to the state keyed `target`, annotating each
+    step with deltas. Only the keys on the path are unpacked, each once."""
     path = [target]
     while visited[path[-1]] is not None:
         path.append(visited[path[-1]])
     path.reverse()
+    unpack = auto.packing.unpack
+    state = unpack(path[0])
+    before = auto.decode(state)
     steps = []
-    before = auto.decode(path[0])
-    for state, successor in zip(path, path[1:]):
+    for key in path[1:]:
+        successor = unpack(key)
         after = auto.decode(successor)
         steps.append(TraceStep(auto.event_between(state, successor),
                                _state_delta(model, before, after)))
-        before = after
+        state, before = successor, after
     return steps
 
 

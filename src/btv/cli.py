@@ -1,7 +1,8 @@
 """Command-line entry point: validate, check, and simulate model files.
 
 Exit codes: 0 ok/holds, 1 violated/deadlock/domain-violation/failed
-validation, 2 usage/parse/I-O error, 3 bound exceeded, 4 internal error.
+validation, 2 usage/parse/I-O error, 3 bound exceeded, 4 internal error,
+130 interrupted (Ctrl-C; `check` still prints the partial verdict).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 import traceback
 
 from .checker import (
+    INTERRUPTED,
     ExploreOptions,
     Status,
     TraceStep,
@@ -38,6 +40,7 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 _STATUS_EXIT = {
     Status.HOLDS: EXIT_OK,
@@ -179,6 +182,8 @@ def cmd_check(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         _print_verdict_text(verdict, model)
+    if verdict.status is Status.BOUND_EXCEEDED and verdict.detail == INTERRUPTED:
+        return EXIT_INTERRUPTED
     return _STATUS_EXIT[verdict.status]
 
 
@@ -238,6 +243,9 @@ def main(argv=None) -> int:
     except (ModelError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception:  # a bug in btv, not in the model: never read as a verdict
         traceback.print_exc()
         print("error: internal error (see traceback above)", file=sys.stderr)

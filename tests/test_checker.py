@@ -3,6 +3,7 @@ import json
 import pytest
 
 from btv.checker import (
+    INTERRUPTED,
     ExploreOptions,
     ReplayError,
     Status,
@@ -129,6 +130,25 @@ def test_bound_exceeded_by_states(robot_wall):
 def test_bound_exceeded_by_depth(robot_wall):
     verdict = explore(robot_wall, ExploreOptions(max_depth=5))
     assert verdict.status is Status.BOUND_EXCEEDED
+
+
+def test_interrupt_returns_the_partial_search(robot_wall):
+    seen = []
+
+    def interrupt_at_100(state):
+        seen.append(state)
+        if len(seen) == 100:
+            raise KeyboardInterrupt
+
+    verdict = explore(robot_wall, on_state=interrupt_at_100)
+    assert verdict.status is Status.BOUND_EXCEEDED
+    assert verdict.detail == INTERRUPTED
+    assert verdict.states_explored == 100
+    assert verdict.counterexample is None
+    complete = explore(robot_wall)
+    assert 0 < verdict.stats.depth < complete.stats.depth
+    assert 0 < verdict.stats.peak_frontier <= complete.stats.peak_frontier
+    assert 0 < verdict.transitions < complete.transitions
 
 
 def test_dedup_misses_nothing(fallback_running):

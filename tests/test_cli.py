@@ -1,9 +1,16 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import btv
 from btv import bundled_model_path, load_model
-from btv.checker import replay, load_trace_file
+from btv.checker import explore, replay, load_trace_file
 from btv.cli import main
 from btv.core import validate_tree
 from btv.frontend import MAX_TREE_DEPTH
@@ -304,3 +311,84 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == btv.cli.EXIT_INTERNAL == 4
     assert out == ""
     assert "RuntimeError: boom" in err and "internal error" in err
+
+
+def interrupting_explore(after: int):
+    """checker.explore with an on_state that presses Ctrl-C at state `after`."""
+    def run_explore(model, options):
+        seen = 0
+
+        def on_state(_):
+            nonlocal seen
+            seen += 1
+            if seen == after:
+                raise KeyboardInterrupt
+        return explore(model, options, on_state=on_state)
+    return run_explore
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_interrupted_check_prints_the_partial_verdict(capsys, monkeypatch, output):
+    import btv.cli
+    monkeypatch.setattr(btv.cli, "explore", interrupting_explore(50))
+    code, out, err = run(capsys, "check", ROBOT_WALL, "--output", output)
+    assert code == btv.cli.EXIT_INTERRUPTED == 130
+    assert "Traceback" not in err
+    if output == "json":
+        payload = json.loads(out)
+        assert (payload["status"], payload["detail"]) == ("BOUND_EXCEEDED", "interrupted")
+        assert payload["states_explored"] == 50
+    else:
+        assert out.startswith("BOUND_EXCEEDED: interrupted\n")
+        assert "states explored: 50," in out
+
+
+@pytest.mark.parametrize("command,target", [("validate", "validate_tree"),
+                                            ("simulate", "tick_cycle")])
+def test_interrupted_validate_and_simulate(capsys, monkeypatch, command, target):
+    import btv.cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(btv.cli, target, interrupted)
+    code, out, err = run(capsys, command, ROBOT_WALL)
+    assert code == 130
+    assert (out, err) == ("", "error: interrupted\n")
+
+
+# Millions of states: x and y step independently. The guards range over
+# 2001 * 1001 valuations, so loading prints the skipped-exhaustiveness warning
+# just before the search starts.
+LONG_SEARCH = """
+tree { root { action step; } }
+env { var x: int in 0..2000 = 0; var y: int in 0..1000 = 0; }
+action step {
+  outcome SUCCESS when x < 2000 { x := x + 1; }
+  outcome SUCCESS when y < 1000 { y := y + 1; }
+  outcome FAILURE when x >= 2000 && y >= 1000;
+}
+"""
+
+
+def test_sigint_during_check_exits_130_with_partial_verdict(tmp_path):
+    path = tmp_path / "long.bt"
+    path.write_text(LONG_SEARCH)
+    env = dict(os.environ, PYTHONPATH=str(Path(btv.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "btv.cli", "check", str(path), "--output", "json",
+         "--max-states", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stderr.readline().startswith("warning: action 'step'")
+        time.sleep(0.3)  # into the search loop
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert (payload["status"], payload["detail"]) == ("BOUND_EXCEEDED", "interrupted")
+    assert 0 < payload["states_explored"] < 1000000

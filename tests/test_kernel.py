@@ -4,17 +4,22 @@ explore runs over control ids and compiled expressions; spec_explore in
 conftest walks MachineState objects with enabled_events/apply_event. Their
 verdicts, counterexamples and state deltas must agree exactly. The events
 of each control id, derived from its one active node, must equal those of
-conftest's every-node walk.
+conftest's every-node walk. Visited states are stored as exact packed ints,
+which must unpack to the same control id and values.
 """
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btv import bundled_model_path, load_model
 from btv.checker import (
     ExploreOptions,
+    StatePacking,
     Status,
     _Automaton,
     explore,
@@ -23,7 +28,15 @@ from btv.checker import (
     step_from_json,
     verdict_to_json,
 )
-from btv.envmodel import BinOp, DomainViolationError, IntLit, VarRef, eval_predicate
+from btv.envmodel import (
+    BinOp,
+    DomainViolationError,
+    EnvSpec,
+    IntLit,
+    VarDecl,
+    VarRef,
+    eval_predicate,
+)
 from btv.frontend import elaborate, parse
 from btv.randmodels import GenParams, random_model_source
 from btv.semantics import _candidates, apply_event, deterministic_policy, enabled_events
@@ -167,3 +180,117 @@ def test_every_counterexample_replays_through_the_trace_file(tmp_path):
                 apply_event(model, state, event)
         replayed.add(verdict.status)
     assert replayed == {Status.VIOLATED, Status.DEADLOCK, Status.DOMAIN_VIOLATION}
+
+
+# --- the packed-int state store ---------------------------------------------------
+
+def in_domain(var: VarDecl):
+    return st.booleans() if var.is_bool else st.integers(var.lo, var.hi)
+
+
+@st.composite
+def packed_pairs(draw):
+    """A random EnvSpec and two (control id, values) pairs over it; the
+    second is often the first with one component changed."""
+    domains = draw(st.lists(st.one_of(
+        st.none(), st.tuples(st.integers(-1000, 1000), st.integers(0, 40))), max_size=6))
+    spec = EnvSpec(tuple(
+        VarDecl(f"v{i}", None, None, False) if d is None
+        else VarDecl(f"v{i}", d[0], d[0] + d[1], d[0])
+        for i, d in enumerate(domains)))
+    cids = st.integers(0, 10**6)
+    first = (draw(cids), tuple(draw(in_domain(v)) for v in spec.variables))
+    if spec.variables and draw(st.booleans()):
+        slot = draw(st.integers(0, len(spec.variables) - 1))
+        values = list(first[1])
+        values[slot] = draw(in_domain(spec.variables[slot]))
+        second = (first[0], tuple(values))
+    else:
+        second = (draw(cids), tuple(draw(in_domain(v)) for v in spec.variables))
+    return spec, first, second
+
+
+NEG = VarDecl("n", -7, -3, -5)
+POINT = VarDecl("p", 4, 4, 4)
+FLAG = VarDecl("f", None, None, False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_pairs())
+@example((EnvSpec(()), (0, ()), (5, ())))
+@example((EnvSpec((NEG,)), (3, (-7,)), (3, (-3,))))
+@example((EnvSpec((POINT, NEG)), (1, (4, -3)), (2, (4, -7))))
+@example((EnvSpec((FLAG, VarDecl("g", None, None, True))),
+          (0, (True, False)), (0, (False, True))))
+def test_packing_is_an_exact_bijection(case):
+    spec, first, second = case
+    packing = StatePacking(spec)
+    for cid, values in (first, second):
+        unpacked = packing.unpack(packing.pack(cid, values))
+        assert unpacked == (cid, *values)
+        assert list(map(type, unpacked)) == [int, *map(type, values)]
+    assert (packing.pack(*first) == packing.pack(*second)) == (first == second)
+    if spec.domain_product_size(spec.slots) <= 500:
+        # Three control ids' valuations fill the keys 0 .. 3 * span - 1.
+        keys = {packing.pack(cid, values) for cid in range(3)
+                for values in spec.valuations(spec.slots)}
+        assert keys == set(range(3 * packing.span))
+
+
+# About 14k states over four integer variables (one with a negative lower
+# bound) and a bool: big enough that the store, not the fixed cost of the
+# transition table and compiled closures, sets the peak.
+MEMORY_MODEL = """
+tree { root {
+  fallback fb {
+    sequence work { condition ready; action move; action mix; }
+    action reset;
+  }
+} }
+env {
+  var a: int in -2..1 = -2;
+  var b: int in 0..3 = 0;
+  var c: int in 0..3 = 0;
+  var d: int in 0..3 = 0;
+  var up: bool = true;
+}
+condition ready { success_when: a <= -1 || c >= 1; }
+action move {
+  outcome SUCCESS when a <= 0 { a := a + 1; up := !up; }
+  outcome SUCCESS when b <= 2 { b := b + 1; }
+  outcome RUNNING when b >= 1 { b := b - 1; }
+  outcome FAILURE when a >= 1 && b >= 3;
+  outcome FAILURE when a >= -1 { a := a - 1; }
+}
+action mix {
+  outcome SUCCESS when c <= 2 { c := c + 1; }
+  outcome FAILURE when d <= 2 && up { d := d + 1; }
+  outcome SUCCESS when c >= 3 { c := c - 3; }
+  outcome RUNNING when c >= 3 && d >= 3 || !up;
+}
+action reset {
+  outcome SUCCESS when a >= 0 { a := a - 2; }
+  outcome FAILURE when d >= 1 { d := d - 1; }
+  outcome RUNNING when a <= -1 || c >= 2;
+  outcome SUCCESS when b >= 2 { b := b - 2; }
+}
+invariant bounded { a + b + c + d <= 10; }
+"""
+
+# Traced peak of explore per state on MEMORY_MODEL: about 135 B with a tuple
+# per visited state and parent link, about 95 B with packed ints (Python
+# 3.10-3.13). Allocation counts, unlike RSS, do not move from run to run.
+MAX_PEAK_BYTES_PER_STATE = 115
+
+
+def test_explore_peak_memory_per_state():
+    model = elaborate(parse(MEMORY_MODEL))
+    tracemalloc.start()
+    try:
+        verdict = explore(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status is Status.HOLDS
+    assert verdict.states_explored >= 5000
+    assert peak / verdict.states_explored < MAX_PEAK_BYTES_PER_STATE
