@@ -5,7 +5,7 @@ user-modeled environments, and exhaustively explores the reachable state
 space to prove or refute safety invariants with counterexample traces.
 """
 
-from .checker import ExploreOptions, Status, Verdict, cycle_outcomes, explore, replay
+from .checker import ExploreOptions, Status, Verdict, explore, replay
 from .core import (
     NodeType,
     TickResult,
@@ -23,7 +23,6 @@ from .semantics import (
     apply_event,
     enabled_events,
     initial_state,
-    reference_tick,
     tick_cycle,
 )
 
@@ -33,8 +32,7 @@ __all__ = [
     "EnvSpec", "EnvState", "Event", "EventKind", "ExploreOptions",
     "MachineState", "Model", "NodeType", "Status", "TickResult", "TreeSpec",
     "ValidationReport", "Verdict", "apply_effects", "apply_event",
-    "bundled_model_path", "check_invariants", "cycle_outcomes", "elaborate",
-    "enabled_events", "eval_predicate", "explore", "initial_state",
-    "load_model", "parse", "reference_tick", "render_model", "replay",
-    "tick_cycle", "validate_tree",
+    "bundled_model_path", "check_invariants", "elaborate", "enabled_events",
+    "eval_predicate", "explore", "initial_state", "load_model", "parse",
+    "render_model", "replay", "tick_cycle", "validate_tree",
 ]

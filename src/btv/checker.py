@@ -46,7 +46,6 @@ from .semantics import (
     _event_effects,
     _fire_control,
     apply_event,
-    enabled_events,
     initial_state,
 )
 
@@ -359,34 +358,6 @@ def _state_delta(model: Model, before: MachineState, after: MachineState) -> dic
     if env_changed:
         delta["env"] = env_changed
     return delta
-
-
-def cycle_outcomes(model: Model, start: MachineState) -> set[tuple[TickResult, tuple]]:
-    """All (root result, env) pairs reachable by interleavings of one cycle.
-
-    Explores every enabled-event branch from a cycle-start state until each
-    path fires ROOT_REINITIALIZE. Deterministic-leaf models must yield a
-    singleton (confluence).
-    """
-    if any(start.ticks):
-        raise ValueError("cycle_outcomes requires a cycle-start state")
-    root_index = model.tree.node_index[model.tree.root]
-    outcomes: set[tuple[TickResult, tuple]] = set()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            for event in enabled_events(model, state):
-                successor = apply_event(model, state, event)
-                if event.kind is EventKind.ROOT_REINITIALIZE:
-                    outcomes.add((state.results[root_index], successor.env.items()))
-                    continue
-                if successor not in seen:
-                    seen.add(successor)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    return outcomes
 
 
 def replay(model: Model, trace, *, trace_sha256: str | None = None) -> MachineState:

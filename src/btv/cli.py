@@ -24,7 +24,7 @@ from .checker import (
     verdict_to_json,
 )
 from .core import ModelError, validate_tree
-from .frontend import _elaborate_tree, build_tree, load_model, parse
+from .frontend import _elaborate_tree, build_tree, load_model, parse, read_source
 from .semantics import (
     DeadlockError,
     Model,
@@ -95,18 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _print_warnings(warnings: tuple[str, ...]) -> None:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
-    doc = parse(_read_text(args.model))
+    text, _ = read_source(args.model)
+    doc = parse(text)
     tree = build_tree(doc)
     report = validate_tree(tree)
     error = None

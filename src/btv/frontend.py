@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -94,11 +95,20 @@ NODE_KINDS = {
 }
 
 # The parser, renderer, evaluator and compiler recurse once per tree level
-# or expression level. The parser takes eight frames per parenthesis (two per
-# `!` or unary `-`), so nesting has the lower limit.
+# or expression level. The parser takes three frames per parenthesis and two
+# per `!` or unary `-`, so nesting has the lower limit.
 MAX_TREE_DEPTH = 500
 MAX_EXPR_DEPTH = 100
 MAX_EXPR_NESTING = 50
+
+# Binding strength of the binary operators, loosest first, and of `!`, which
+# sits between && and the comparisons. The parser and render_expr both read
+# these. A comparison or a `!` does not chain: an operator that follows one
+# must bind more loosely.
+_PREC = {"||": 1, "&&": 2, "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
+         "+": 5, "-": 5}
+_NOT_PREC = 3
+_CMP_PREC = 4
 
 _TWO_CHAR = (":=", "==", "!=", "<=", ">=", "&&", "||", "..")
 _ONE_CHAR = "{}();:=<>+-!,"
@@ -136,9 +146,9 @@ def _tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i
@@ -247,16 +257,23 @@ class _Parser:
         tok = self.peek()
         return tok.kind in ("punct", "ident") and tok.text == text
 
+    def next_int(self) -> int:
+        """Consume an int token and return its value."""
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(tok.line, tok.col,
+                             f"integer literal of {len(tok.text)} digits is too long") from None
+
     def expect_int(self) -> int:
         neg = False
         if self.at("-"):
             self.next()
             neg = True
-        tok = self.peek()
-        if tok.kind != "int":
+        if self.peek().kind != "int":
             raise self.error("an integer")
-        self.next()
-        value = int(tok.text)
+        value = self.next_int()
         return -value if neg else value
 
     # document
@@ -443,68 +460,56 @@ class _Parser:
             out.append(Assignment(name.text, expr, name.span))
         return out
 
-    # expressions: || < && < ! < comparison < additive < atom
+    # expressions: binary operators by _PREC, `!` at _NOT_PREC, atoms
 
     def parse_expr(self) -> Expr:
         tok = self.peek()
-        expr = self.parse_or()
+        expr = self.parse_binary(0)
         if self.expr_nesting == 0 and _expr_depth(expr) > MAX_EXPR_DEPTH:
             raise ParseError(tok.line, tok.col,
                              f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         return expr
 
-    def nested(self, parse):
-        """parse() one level deeper inside an expression: `(`, `!` or unary `-`."""
+    def nested(self, parse, *args):
+        """parse(*args) one level deeper inside an expression: `(`, `!` or
+        unary `-`."""
         tok = self.peek()
         if self.expr_nesting >= MAX_EXPR_NESTING:
             raise ParseError(tok.line, tok.col,
                              f"expression nested deeper than {MAX_EXPR_NESTING} levels")
         self.expr_nesting += 1
         try:
-            return parse()
+            return parse(*args)
         finally:
             self.expr_nesting -= 1
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at("||"):
+    def parse_binary(self, min_prec: int) -> Expr:
+        """An expression whose operators outside parentheses bind at least as
+        tightly as min_prec, by precedence climbing: the loop takes a chain of
+        operators, and each right operand is parsed one level above its
+        operator."""
+        if min_prec <= _NOT_PREC and self.at("!"):
             tok = self.next()
-            left = BinOp("||", left, self.parse_and(), tok.span)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.at("&&"):
-            tok = self.next()
-            left = BinOp("&&", left, self.parse_not(), tok.span)
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.at("!"):
-            tok = self.next()
-            return NotOp(self.nested(self.parse_not), tok.span)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in ("<", "<=", ">", ">=", "==", "!="):
+            left = NotOp(self.nested(self.parse_binary, _NOT_PREC), tok.span)
+            below = _NOT_PREC
+        else:
+            left = self.parse_atom()
+            below = math.inf
+        while True:
+            tok = self.peek()
+            prec = _PREC.get(tok.text)
+            # An operator at `below` or tighter is a second comparison, or one
+            # that the last operand stopped at: neither may continue here.
+            if prec is None or not min_prec <= prec < below:
+                return left
             self.next()
-            return BinOp(tok.text, left, self.parse_additive(), tok.span)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_atom()
-        while self.at("+") or self.at("-"):
-            tok = self.next()
-            left = BinOp(tok.text, left, self.parse_atom(), tok.span)
-        return left
+            left = BinOp(tok.text, left, self.parse_binary(prec + 1), tok.span)
+            below = prec if prec == _CMP_PREC else prec + 1
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            return IntLit(int(tok.text), tok.span)
+            return IntLit(self.next_int(), tok.span)
         if tok.text == "-":
             self.next()
             operand = self.nested(self.parse_atom)
@@ -519,7 +524,7 @@ class _Parser:
             return BoolLit(False, tok.span)
         if tok.text == "(":
             self.next()
-            inner = self.nested(self.parse_expr)
+            inner = self.nested(self.parse_binary, 0)
             self.expect(")")
             return inner
         if tok.kind == "ident" and tok.text not in KEYWORDS:
@@ -674,13 +679,19 @@ def _elaborate_tree(doc: ModelDocument, tree: TreeSpec) -> Model:
     return Model(tree=tree, env=env, behaviors=behaviors, warnings=tuple(warnings))
 
 
-def load_model(path) -> Model:
-    """Parse and elaborate a model file; the Model remembers the source hash."""
+def read_source(path) -> tuple[str, str]:
+    """A model file's text, decoded from UTF-8 with its line endings kept,
+    and the sha256 of its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = parse(data.decode("utf-8"))
-    model = elaborate(doc)
-    return dataclasses.replace(model, source_sha256=hashlib.sha256(data).hexdigest())
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
+def load_model(path) -> Model:
+    """Parse and elaborate a model file; the Model remembers the source hash."""
+    text, sha256 = read_source(path)
+    model = elaborate(parse(text))
+    return dataclasses.replace(model, source_sha256=sha256)
 
 
 def bundled_model_path(name: str):
@@ -690,11 +701,9 @@ def bundled_model_path(name: str):
 
 # --- rendering (round-trip support) ------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
-         "+": 5, "-": 5}
-
-
-def render_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
+def render_expr(e: Expr, parent_prec: int = 0, tie: bool = False) -> str:
+    """Source text for `e` inside an operator of `parent_prec`; `tie`
+    parenthesizes an operator of that same precedence too."""
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, BoolLit):
@@ -702,13 +711,13 @@ def render_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(e, VarRef):
         return e.name
     if isinstance(e, NotOp):
-        text = "!" + render_expr(e.operand, 3)
-        return f"({text})" if parent_prec > 3 else text
+        text = "!" + render_expr(e.operand, _NOT_PREC)
+        return f"({text})" if parent_prec > _NOT_PREC else text
     if isinstance(e, BinOp):
         prec = _PREC[e.op]
-        text = (f"{render_expr(e.left, prec)} {e.op} "
-                f"{render_expr(e.right, prec, right=True)}")
-        if parent_prec > prec or (right and parent_prec == prec):
+        text = (f"{render_expr(e.left, prec, tie=prec == _CMP_PREC)} {e.op} "
+                f"{render_expr(e.right, prec, tie=True)}")
+        if parent_prec > prec or (tie and parent_prec == prec):
             return f"({text})"
         return text
     raise TypeError(f"not an expression node: {e!r}")

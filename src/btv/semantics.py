@@ -16,9 +16,6 @@ environment-free candidate list of _candidates filtered by each candidate's
 guard, and apply_event is a guard check followed by _fire, whose control
 part (_fire_control) and assignments (_event_effects) the checker reuses to
 build its per-control-id transition lists.
-
-reference_tick is a deliberately separate implementation (plain recursion,
-no events) used to cross-check the machine.
 """
 
 from __future__ import annotations
@@ -54,10 +51,6 @@ class NonterminationError(ModelError):
     def __init__(self, msg: str, trace: list["Event"]):
         super().__init__(msg)
         self.trace = trace
-
-
-class OracleInapplicableError(ModelError):
-    pass
 
 
 class EventKind(Enum):
@@ -336,43 +329,3 @@ def tick_cycle(model: Model, state: MachineState,
             raise NonterminationError(
                 f"cycle exceeded step budget of {budget} events", trace)
 
-
-# --- independent reference interpreter --------------------------------------
-
-def reference_tick(model: Model, env: EnvState) -> tuple[TickResult, EnvState]:
-    """Classic recursive tick, used only as an oracle for the event machine.
-
-    Sequences run children left-to-right until a non-SUCCESS result;
-    fallbacks until a non-FAILURE result. Requires deterministic leaves:
-    an action with zero or several enabled outcomes is outside the oracle's
-    domain. The root-result hook is applied after the pass, mirroring the
-    machine's RESULT_ARRIVED.
-    """
-    tree = model.tree
-
-    def tick(node: str, env: EnvState) -> tuple[TickResult, EnvState]:
-        ntype = tree.n_type[node]
-        if ntype is NodeType.ROOT:
-            return tick(tree.children[node][0], env)
-        if ntype is NodeType.CONDITION:
-            behavior = model.behaviors[node]
-            ok = eval_predicate(behavior.success_when, env)
-            return (TickResult.SUCCESS if ok else TickResult.FAILURE), env
-        if ntype is NodeType.ACTION:
-            behavior = model.behaviors[node]
-            live = [o for o in behavior.outcomes if eval_predicate(o.guard, env)]
-            if len(live) != 1:
-                raise OracleInapplicableError(
-                    f"action {node!r} has {len(live)} enabled outcomes; oracle "
-                    "requires exactly one")
-            return live[0].result, apply_effects(model.env, live[0].effects, env)
-        stop = TickResult.SUCCESS if ntype is NodeType.SEQUENCE else TickResult.FAILURE
-        for child in tree.children[node]:
-            result, env = tick(child, env)
-            if result is not stop:
-                return result, env
-        return stop, env
-
-    result, env = tick(tree.root, env)
-    env = apply_effects(model.env, model.env.root_result_hook, env, wrap=True)
-    return result, env

@@ -5,7 +5,10 @@ The enumeration helpers here deliberately avoid checker.py's machinery
 semantics so the checker has something independent to be compared against.
 walk_candidates and priority_key are the earlier every-node derivation of a
 state's events and the deterministic policy's old key, kept as the oracles
-for semantics._candidates and deterministic_policy.
+for semantics._candidates and deterministic_policy. reference_tick is a
+deliberately separate implementation of a tick (plain recursion, no events),
+and cycle_outcomes collects every outcome of one cycle's interleavings; both
+cross-check the event machine.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ import pytest
 
 from btv import bundled_model_path, load_model
 from btv.checker import ExploreOptions, Stats, Status, TraceStep, Verdict
-from btv.core import NodeType, TickResult, TreeSpec
+from btv.core import ModelError, NodeType, TickResult, TreeSpec
 from btv.envmodel import (
     ActionBehavior,
     ConditionBehavior,
     DomainViolationError,
+    EnvState,
+    apply_effects,
     eval_predicate,
 )
 from btv.semantics import (
     Event,
     EventKind,
     Guard,
+    MachineState,
     Model,
     apply_event,
     enabled_events,
@@ -346,3 +352,76 @@ def priority_key(model: Model):
         rule = e.outcome[1] if e.outcome else -1
         return (group, -depth, model.tree.n_id[e.node], rule)
     return key
+
+
+# --- independent reference interpreter --------------------------------------
+
+class OracleInapplicableError(ModelError):
+    pass
+
+
+def reference_tick(model: Model, env: EnvState) -> tuple[TickResult, EnvState]:
+    """Classic recursive tick, used only as an oracle for the event machine.
+
+    Sequences run children left-to-right until a non-SUCCESS result;
+    fallbacks until a non-FAILURE result. Requires deterministic leaves:
+    an action with zero or several enabled outcomes is outside the oracle's
+    domain. The root-result hook is applied after the pass, mirroring the
+    machine's RESULT_ARRIVED.
+    """
+    tree = model.tree
+
+    def tick(node: str, env: EnvState) -> tuple[TickResult, EnvState]:
+        ntype = tree.n_type[node]
+        if ntype is NodeType.ROOT:
+            return tick(tree.children[node][0], env)
+        if ntype is NodeType.CONDITION:
+            behavior = model.behaviors[node]
+            ok = eval_predicate(behavior.success_when, env)
+            return (TickResult.SUCCESS if ok else TickResult.FAILURE), env
+        if ntype is NodeType.ACTION:
+            behavior = model.behaviors[node]
+            live = [o for o in behavior.outcomes if eval_predicate(o.guard, env)]
+            if len(live) != 1:
+                raise OracleInapplicableError(
+                    f"action {node!r} has {len(live)} enabled outcomes; oracle "
+                    "requires exactly one")
+            return live[0].result, apply_effects(model.env, live[0].effects, env)
+        stop = TickResult.SUCCESS if ntype is NodeType.SEQUENCE else TickResult.FAILURE
+        for child in tree.children[node]:
+            result, env = tick(child, env)
+            if result is not stop:
+                return result, env
+        return stop, env
+
+    result, env = tick(tree.root, env)
+    env = apply_effects(model.env, model.env.root_result_hook, env, wrap=True)
+    return result, env
+
+
+def cycle_outcomes(model: Model, start: MachineState) -> set[tuple[TickResult, tuple]]:
+    """All (root result, env) pairs reachable by interleavings of one cycle.
+
+    Explores every enabled-event branch from a cycle-start state until each
+    path fires ROOT_REINITIALIZE. Deterministic-leaf models must yield a
+    singleton (confluence).
+    """
+    if any(start.ticks):
+        raise ValueError("cycle_outcomes requires a cycle-start state")
+    root_index = model.tree.node_index[model.tree.root]
+    outcomes: set[tuple[TickResult, tuple]] = set()
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for state in frontier:
+            for event in enabled_events(model, state):
+                successor = apply_event(model, state, event)
+                if event.kind is EventKind.ROOT_REINITIALIZE:
+                    outcomes.add((state.results[root_index], successor.env.items()))
+                    continue
+                if successor not in seen:
+                    seen.add(successor)
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    return outcomes

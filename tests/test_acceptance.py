@@ -6,13 +6,19 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 from btv import bundled_model_path, load_model
-from btv.checker import ExploreOptions, Status, cycle_outcomes, explore, replay
+from btv.checker import ExploreOptions, Status, explore, replay
 from btv.core import NodeType, TickResult, TreeSpec, validate_tree
 from btv.frontend import elaborate, parse
-from btv.randmodels import random_model_source
-from btv.semantics import initial_state, reference_tick, tick_cycle
+from btv.semantics import initial_state, tick_cycle
 
-from conftest import bfs_depth_of_first, machine_invariant_checker, naive_reachable
+from conftest import (
+    bfs_depth_of_first,
+    cycle_outcomes,
+    machine_invariant_checker,
+    naive_reachable,
+    reference_tick,
+)
+from randmodels import random_model_source
 
 BUNDLED = ("robot_wall.bt", "robot_wall_buggy.bt", "fallback_running.bt")
 

@@ -7,7 +7,6 @@ from btv.checker import (
     ExploreOptions,
     ReplayError,
     Status,
-    cycle_outcomes,
     explore,
     load_trace_file,
     replay,
@@ -18,10 +17,10 @@ from btv.checker import (
 from btv.core import TickResult
 from btv.envmodel import DomainViolationError
 from btv.frontend import elaborate, parse
-from btv.randmodels import GenParams, random_model_source
 from btv.semantics import Event, EventKind, apply_event, initial_state
 
-from conftest import bfs_depth_of_first, naive_reachable, no_dedup_states
+from conftest import bfs_depth_of_first, cycle_outcomes, naive_reachable, no_dedup_states
+from randmodels import GenParams, random_model_source
 
 S, F = TickResult.SUCCESS, TickResult.FAILURE
 

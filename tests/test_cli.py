@@ -262,6 +262,20 @@ def test_skipped_exhaustiveness_is_reported(capsys, tmp_path):
     assert json.loads(trace.read_text())["warnings"] == json.loads(out)["warnings"]
 
 
+def test_validate_and_check_read_a_file_alike(capsys, tmp_path):
+    # CR-only line endings and a syntax error on the third line.
+    path = tmp_path / "cr.bt"
+    path.write_bytes(b"tree { root { condition c; } }\r"
+                     b"env { var x: int in 0..1 = 0; }\r"
+                     b"condition c { success_when: x == ; }\r")
+    errors = set()
+    for command in ("validate", "check"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
 def nested_tree(depth: int) -> str:
     opening = "".join(f"sequence s{i} {{ " for i in range(depth))
     return (f"tree {{ root {{ {opening}condition c; {'} ' * depth}}} }}\n"

@@ -227,7 +227,7 @@ def test_ordered_children_partition_non_root():
 def test_valid_trees_closure_reaches_everything():
     """On every valid tree, the closure image of the root is all other nodes."""
     from btv.frontend import elaborate, parse
-    from btv.randmodels import random_model_source
+    from randmodels import random_model_source
 
     for seed in range(40):
         tree = elaborate(parse(random_model_source(seed))).tree

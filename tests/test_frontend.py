@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from btv import bundled_model_path
-from btv.core import NodeType
+from btv.cli import main
+from btv.core import ModelError, NodeType
 from btv.frontend import (
     MAX_EXPR_DEPTH,
     MAX_EXPR_NESTING,
@@ -15,8 +18,9 @@ from btv.frontend import (
     render_expr,
     render_model,
 )
-from btv.envmodel import UnknownVariableError
-from btv.randmodels import GenParams, random_model_source
+from btv.envmodel import BinOp, BoolLit, IntLit, NotOp, UnknownVariableError, VarRef
+
+from randmodels import GenParams, random_model_source
 
 ROBOT_WALL = bundled_model_path("robot_wall.bt").read_text()
 
@@ -101,10 +105,80 @@ def test_nesting_at_the_limits_loads_and_runs():
 
 
 def test_input_at_the_limits_parses_from_a_deep_stack():
-    # Headroom for a library caller that is already 200 frames deep.
-    for source in (nested_source(MAX_TREE_DEPTH, "true"), nested_source(1, TALL),
-                   nested_source(1, PARENS), nested_source(1, NOTS)):
-        at_stack_depth(200, lambda: elaborate(parse(source)))
+    # Headroom for a library caller that is already 200 frames deep, and 600
+    # frames deep for the expression nesting limit.
+    for source, frames in ((nested_source(MAX_TREE_DEPTH, "true"), 200),
+                           (nested_source(1, TALL), 200),
+                           (nested_source(1, PARENS), 600),
+                           (nested_source(1, NOTS), 600)):
+        at_stack_depth(frames, lambda: elaborate(parse(source)))
+
+
+def test_comparison_and_not_do_not_chain():
+    with pytest.raises(ParseError, match="^3:35: expected ';', found '<'$"):
+        parse(nested_source(1, "a < b < c"))
+    with pytest.raises(ParseError, match="^3:33: expected an expression, found '!'$"):
+        parse(nested_source(1, "x + !y"))
+
+
+# Integer literals that int() cannot read: a non-ASCII digit and more digits
+# than int() converts. Each with its ParseError.
+BAD_INTEGERS = [
+    ("tree { root { condition c; } }\nenv { var x: int in 0..\u00b2 = 0; }\n"
+     "condition c { success_when: x == 0; }\n",
+     "2:24: unexpected character '\u00b2'"),
+    ("tree { root { condition c; } }\nenv { var x: int in 0.." + "9" * 5000 +
+     " = 0; }\ncondition c { success_when: x == 0; }\n",
+     "2:24: integer literal of 5000 digits is too long"),
+    ("tree { root id = \u00b2 { condition c; } }\nenv { var x: int in 0..1 = 0; }\n"
+     "condition c { success_when: x == 0; }\n",
+     "1:18: unexpected character '\u00b2'"),
+]
+
+
+@pytest.mark.parametrize("source,message", BAD_INTEGERS,
+                         ids=["superscript-bound", "5000-digit-bound", "superscript-id"])
+def test_bad_integer_literal_is_a_parse_error(source, message, tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == message
+    path = tmp_path / "bad.bt"
+    path.write_text(source, encoding="utf-8")
+    for command in ("validate", "check"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+# Tokens of the model grammar, for token soup.
+GRAMMAR_TOKENS = sorted({
+    "tree", "root", "sequence", "fallback", "condition", "action", "env", "var",
+    "int", "bool", "in", "outcome", "when", "on_root_result", "invariant",
+    "success_when", "SUCCESS", "RUNNING", "FAILURE", "true", "false", "id",
+    "x", "y", "c", "a", "s", "0", "1", "3", "10",
+    "{", "}", "(", ")", ";", ":", "=", ":=", "..", ",",
+    "<", "<=", ">", ">=", "==", "!=", "+", "-", "!", "&&", "||", "//",
+})
+token_soup = st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=60).map(" ".join)
+
+
+@st.composite
+def spliced_models(draw):
+    """robot_wall.bt with a slice replaced by token soup."""
+    i = draw(st.integers(0, len(ROBOT_WALL)))
+    j = draw(st.integers(i, min(i + 40, len(ROBOT_WALL))))
+    return ROBOT_WALL[:i] + draw(token_soup) + ROBOT_WALL[j:]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(), token_soup, spliced_models()))
+@example(BAD_INTEGERS[0][0])
+@example(BAD_INTEGERS[1][0])
+@example(BAD_INTEGERS[2][0])
+def test_arbitrary_text_raises_only_model_errors(text):
+    try:
+        elaborate(parse(text))
+    except ModelError:
+        pass
 
 
 def test_parse_unknown_node_kind():
@@ -325,3 +399,30 @@ def test_render_expr_parenthesizes_correctly():
         "!(x - (1 + 2) >= 4 && f) || x == 0",
         render_expr(pred)))).behaviors["c"].success_when
     assert reparsed == pred
+
+
+def height(e) -> int:
+    if isinstance(e, BinOp):
+        return 1 + max(height(e.left), height(e.right))
+    if isinstance(e, NotOp):
+        return 1 + height(e.operand)
+    return 1
+
+
+leaves = st.one_of(st.integers(-20, 20).map(IntLit), st.booleans().map(BoolLit),
+                   st.sampled_from(["x", "y", "f"]).map(VarRef))
+exprs = st.recursive(leaves, lambda sub: st.one_of(
+    st.builds(BinOp, st.sampled_from(["||", "&&", "<", "<=", ">", ">=", "==", "!=",
+                                      "+", "-"]), sub, sub),
+    st.builds(NotOp, sub),
+    st.builds(lambda e: BinOp("-", IntLit(0), e), sub),
+), max_leaves=25)
+
+
+@settings(max_examples=500, deadline=None)
+@given(exprs)
+def test_rendered_expressions_parse_back(e):
+    # Each level adds at most a `!` and a pair of parentheses, and a negative
+    # literal one unary `-`: this keeps the text inside MAX_EXPR_NESTING.
+    assume(2 * height(e) + 1 <= MAX_EXPR_NESTING)
+    assert parse(nested_source(1, render_expr(e))).conditions[0].success_when == e

@@ -38,10 +38,10 @@ from btv.envmodel import (
     eval_predicate,
 )
 from btv.frontend import elaborate, parse
-from btv.randmodels import GenParams, random_model_source
 from btv.semantics import _candidates, apply_event, deterministic_policy, enabled_events
 
 from conftest import naive_reachable, priority_key, spec_explore, walk_candidates
+from randmodels import GenParams, random_model_source
 
 BUNDLED = ("robot_wall.bt", "robot_wall_buggy.bt", "fallback_running.bt")
 SEEDS = range(300)

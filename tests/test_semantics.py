@@ -11,16 +11,16 @@ from btv.semantics import (
     EventKind,
     EventNotEnabledError,
     Model,
-    OracleInapplicableError,
     apply_event,
     cycle_step_budget,
     deterministic_policy,
     enabled_events,
     initial_state,
     random_policy,
-    reference_tick,
     tick_cycle,
 )
+
+from conftest import OracleInapplicableError, reference_tick
 
 S, R, F, U = TickResult.SUCCESS, TickResult.RUNNING, TickResult.FAILURE, TickResult.UNKNOWN
 
