@@ -10,22 +10,31 @@ valuations.
 eval_expr and apply_effects are the executable definition of expressions
 and assignments. compile_expr, compile_predicate and compile_effects turn
 the same expressions into closures over a values tuple for the checker's
-search loop; tests hold them equal to the evaluator.
+search loop; tests hold them equal to the evaluator. compile_column turns a
+well-typed expression into a tree of lazy `map` calls over a block of
+valuations laid out as one column per variable (EnvSpec.value_columns), so
+that the exhaustiveness check, which may enumerate up to
+EXHAUSTIVENESS_ENUM_LIMIT valuations, evaluates its guards in C loops rather
+than with one closure call per valuation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
-from typing import Callable, Iterable, Mapping, Union
+from functools import cached_property, partial, reduce
+from itertools import chain, islice, product, repeat
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import ModelError, TickResult
 
 # Load-time exhaustiveness enumeration is skipped above this many valuations
 # of the variables an action's guards mention.
 EXHAUSTIVENESS_ENUM_LIMIT = 10**6
+# The enumeration evaluates the guards over this many valuations at a time,
+# which bounds its memory.
+EXHAUSTIVENESS_BLOCK = 1024
 
 
 class ExpressionTypeError(ModelError):
@@ -159,12 +168,32 @@ class EnvSpec:
             size *= 2 if v.is_bool else (v.hi - v.lo + 1)
         return size
 
+    def domains(self, names: Iterable[str]) -> list[Sequence]:
+        """The values of each named variable, in ascending order."""
+        return [(False, True) if d.is_bool else range(d.lo, d.hi + 1)
+                for d in map(self.decl, names)]
+
     def valuations(self, names: Iterable[str]) -> Iterable[tuple]:
         """All valuations of the given variables over their domains, as
         values tuples in the order of `names`."""
-        decls = [self.decl(n) for n in names]
-        return product(*[(False, True) if d.is_bool else range(d.lo, d.hi + 1)
-                         for d in decls])
+        return product(*self.domains(names))
+
+    def value_columns(self, names: Iterable[str]) -> list[Iterator]:
+        """valuations(names) transposed without building a tuple per
+        valuation: one lazy iterator per variable, yielding its value in
+        each valuation, in the same order."""
+        domains = self.domains(names)
+        sizes = [len(d) for d in domains]
+        columns = []
+        for i, domain in enumerate(domains):
+            # The run of the domain repeats once per valuation of the earlier
+            # variables, each value within it once per valuation of the later.
+            values = chain.from_iterable(repeat(domain, prod(sizes[:i])))
+            later = prod(sizes[i + 1:])
+            if later > 1:
+                values = chain.from_iterable(map(repeat, values, repeat(later)))
+            columns.append(values)
+        return columns
 
 
 @dataclass(frozen=True)
@@ -349,11 +378,19 @@ def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
     """Verify at least one outcome guard holds for every valuation.
 
     Enumerates only the variables the guards mention (other variables cannot
-    influence them). When those variables span more than
-    EXHAUSTIVENESS_ENUM_LIMIT valuations the check is skipped and a warning
-    is returned; a non-exhaustive action then surfaces at run time as a
-    deadlock. Returns None when the check ran and passed.
+    influence them), in the order of spec.valuations, EXHAUSTIVENESS_BLOCK
+    valuations at a time; the error names the first valuation no guard
+    covers. When those variables span more than EXHAUSTIVENESS_ENUM_LIMIT
+    valuations the check is skipped and a warning is returned; a
+    non-exhaustive action then surfaces at run time as a deadlock. Returns
+    None when the check ran and passed. A guard that is not a well-typed
+    boolean expression raises ExpressionTypeError (or UnknownVariableError)
+    first.
     """
+    for o in behavior.outcomes:
+        if infer_type(o.guard, spec) != "bool":
+            raise ExpressionTypeError(
+                _at(o.guard.span, f"an outcome guard of {leaf!r} is not boolean"))
     names = sorted(set().union(*[expr_variables(o.guard) for o in behavior.outcomes]))
     size = spec.domain_product_size(names)
     if size > EXHAUSTIVENESS_ENUM_LIMIT:
@@ -361,11 +398,19 @@ def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
                 f"range over {size} valuations of {', '.join(names)} (limit "
                 f"{EXHAUSTIVENESS_ENUM_LIMIT})")
     slots = {n: i for i, n in enumerate(names)}
-    guards = [compile_predicate(o.guard, slots) for o in behavior.outcomes]
-    for values in spec.valuations(names):
-        if not any(holds(values) for holds in guards):
+    # With no outcomes, no guard holds anywhere.
+    guards = [compile_column(g, slots)
+              for g in [o.guard for o in behavior.outcomes] or [BoolLit(False)]]
+    value_columns = spec.value_columns(names)
+    for start in range(0, size, EXHAUSTIVENESS_BLOCK):
+        n = min(EXHAUSTIVENESS_BLOCK, size - start)
+        columns = [list(islice(c, n)) for c in value_columns]
+        holds = list(reduce(partial(map, operator.or_),
+                            [guard(columns, n) for guard in guards]))
+        if not all(holds):
+            i = holds.index(False)
             raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "
-                                      f"for {dict(zip(names, values))}")
+                                      f"for {dict(zip(names, (c[i] for c in columns)))}")
     return None
 
 
@@ -412,6 +457,39 @@ def compile_expr(e: Expr, slots: Mapping[str, int]) -> Compiled:
             return lambda values: bool(left(values)) or bool(right(values))
         op = _BINARY[e.op]
         return lambda values: op(left(values), right(values))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# A column-compiled expression maps a block of n valuations, given as one
+# column per slot, to an iterable of the n values eval_expr gives for them.
+ColumnCompiled = Callable[[Sequence[Sequence], int], Iterable]
+
+_COLUMN_BINARY = {**_BINARY, "&&": operator.and_, "||": operator.or_}
+
+
+def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
+    """compile_expr over a block of valuations: each node becomes one lazy
+    `map` over its operands' columns.
+
+    The expression must be well typed (infer_type) and read only variables
+    in `slots`: `&&`, `||` and `!` are applied without bool() coercion and
+    without short-circuit, which gives eval_expr's values only for boolean
+    operands.
+    """
+    if isinstance(e, (IntLit, BoolLit)):
+        const = e.value
+        return lambda columns, n: repeat(const, n)
+    if isinstance(e, VarRef):
+        slot = slots[e.name]
+        return lambda columns, n: columns[slot]
+    if isinstance(e, NotOp):
+        inner = compile_column(e.operand, slots)
+        return lambda columns, n: map(operator.not_, inner(columns, n))
+    if isinstance(e, BinOp):
+        left = compile_column(e.left, slots)
+        right = compile_column(e.right, slots)
+        op = _COLUMN_BINARY[e.op]
+        return lambda columns, n: map(op, left(columns, n), right(columns, n))
     raise TypeError(f"not an expression node: {e!r}")
 
 

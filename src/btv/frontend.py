@@ -132,17 +132,17 @@ def _tokenize(text: str) -> list[Token]:
     n = len(text)
     while i < n:
         c = text[i]
-        if c == "\n":
+        if c in "\r\n":  # "\r\n", "\r" and "\n" each end a line
             line += 1
             col = 1
-            i += 1
+            i += 2 if text.startswith("\r\n", i) else 1
             continue
-        if c in " \t\r":
+        if c in " \t":
             i += 1
             col += 1
             continue
         if text.startswith("//", i):
-            while i < n and text[i] != "\n":
+            while i < n and text[i] not in "\r\n":
                 i += 1
             continue
         start_col = col

@@ -8,7 +8,10 @@ state's events and the deterministic policy's old key, kept as the oracles
 for semantics._candidates and deterministic_policy. reference_tick is a
 deliberately separate implementation of a tick (plain recursion, no events),
 and cycle_outcomes collects every outcome of one cycle's interleavings; both
-cross-check the event machine.
+cross-check the event machine. naive_exhaustiveness is the earlier
+per-valuation outcome exhaustiveness check, one compiled predicate call per
+guard and valuation, kept as the oracle for the column-wise
+check_outcome_exhaustiveness.
 """
 
 from __future__ import annotations
@@ -19,12 +22,17 @@ from btv import bundled_model_path, load_model
 from btv.checker import ExploreOptions, Stats, Status, TraceStep, Verdict
 from btv.core import ModelError, NodeType, TickResult, TreeSpec
 from btv.envmodel import (
+    EXHAUSTIVENESS_ENUM_LIMIT,
     ActionBehavior,
     ConditionBehavior,
     DomainViolationError,
+    EnvSpec,
     EnvState,
+    ExhaustivenessError,
     apply_effects,
+    compile_predicate,
     eval_predicate,
+    expr_variables,
 )
 from btv.semantics import (
     Event,
@@ -425,3 +433,28 @@ def cycle_outcomes(model: Model, start: MachineState) -> set[tuple[TickResult, t
                     next_frontier.append(successor)
         frontier = next_frontier
     return outcomes
+
+
+def naive_exhaustiveness(spec: EnvSpec, leaf: str,
+                         behavior: ActionBehavior) -> str | None:
+    """Verify at least one outcome guard holds for every valuation.
+
+    Enumerates only the variables the guards mention (other variables cannot
+    influence them). When those variables span more than
+    EXHAUSTIVENESS_ENUM_LIMIT valuations the check is skipped and a warning
+    is returned; a non-exhaustive action then surfaces at run time as a
+    deadlock. Returns None when the check ran and passed.
+    """
+    names = sorted(set().union(*[expr_variables(o.guard) for o in behavior.outcomes]))
+    size = spec.domain_product_size(names)
+    if size > EXHAUSTIVENESS_ENUM_LIMIT:
+        return (f"action {leaf!r}: outcome exhaustiveness not checked, its guards "
+                f"range over {size} valuations of {', '.join(names)} (limit "
+                f"{EXHAUSTIVENESS_ENUM_LIMIT})")
+    slots = {n: i for i, n in enumerate(names)}
+    guards = [compile_predicate(o.guard, slots) for o in behavior.outcomes]
+    for values in spec.valuations(names):
+        if not any(holds(values) for holds in guards):
+            raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "
+                                      f"for {dict(zip(names, values))}")
+    return None

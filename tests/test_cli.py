@@ -276,6 +276,33 @@ def test_validate_and_check_read_a_file_alike(capsys, tmp_path):
     assert len(errors) == 1, errors
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_endings_are_equivalent(capsys, tmp_path, newline):
+    # A `//` comment ends at any line ending, so the invariant after it is
+    # read and breaks in the initial state.
+    path = tmp_path / "ends.bt"
+    path.write_bytes(newline.join([
+        "tree { root { action a; } }",
+        "env { var x: int in 0..1 = 0; }",
+        "action a { outcome SUCCESS when true { x := 1; } } // safety below",
+        "invariant never { x == 1; }",
+        "",
+    ]).encode())
+    code, out, _ = run(capsys, "check", str(path), "--output", "json")
+    assert (code, json.loads(out)["status"]) == (1, "VIOLATED")
+
+    path.write_bytes(newline.join([
+        "tree { root { condition c; } }",
+        "env { var x: int in 0..1 = 0; }",
+        "condition c { success_when: x == ; }",
+        "",
+    ]).encode())
+    for command in ("validate", "check"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: 3:34: "), err
+
+
 def nested_tree(depth: int) -> str:
     opening = "".join(f"sequence s{i} {{ " for i in range(depth))
     return (f"tree {{ root {{ {opening}condition c; {'} ' * depth}}} }}\n"

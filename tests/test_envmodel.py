@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import btv.envmodel
 from btv.envmodel import (
     Assignment,
     BinOp,
@@ -21,6 +22,7 @@ from btv.envmodel import (
     apply_effects,
     check_invariants,
     check_outcome_exhaustiveness,
+    compile_column,
     compile_effects,
     compile_expr,
     compile_predicate,
@@ -29,6 +31,7 @@ from btv.envmodel import (
     infer_type,
 )
 from btv.core import TickResult
+from conftest import naive_exhaustiveness
 
 
 def env_of(**values):
@@ -127,6 +130,8 @@ def test_exhaustiveness_rejects_false_guard():
     behavior = ActionBehavior((ActionOutcome(BoolLit(False), TickResult.SUCCESS),))
     with pytest.raises(ExhaustivenessError):
         check_outcome_exhaustiveness(spec, "a1", behavior)
+    with pytest.raises(ExhaustivenessError, match=r"holds for \{\}$"):
+        check_outcome_exhaustiveness(spec, "a1", ActionBehavior(()))
 
 
 def test_exhaustiveness_accepts_threshold_split():
@@ -171,6 +176,21 @@ def test_exhaustiveness_bounded_by_guard_variables_only():
     with pytest.raises(ExhaustivenessError) as err:
         check_outcome_exhaustiveness(spec, "a1", behavior)
     assert "'x': 50" in str(err.value)
+
+
+@pytest.mark.parametrize("guard", [
+    BinOp("+", VarRef("x"), IntLit(1)),
+    BinOp("&&", VarRef("x"), VarRef("y")),
+])
+def test_exhaustiveness_rejects_ill_typed_guards(guard):
+    # Column evaluation needs boolean guards (`2 & 1` is 0, while
+    # `bool(2) and bool(1)` is True), so the check types its guards first.
+    spec = spec_of(VarDecl("x", 0, 3, 0), VarDecl("y", 0, 3, 0))
+    behavior = ActionBehavior((ActionOutcome(BinOp("<", VarRef("x"), IntLit(9)),
+                                             TickResult.SUCCESS),
+                               ActionOutcome(guard, TickResult.FAILURE)))
+    with pytest.raises(ExpressionTypeError):
+        check_outcome_exhaustiveness(spec, "a1", behavior)
 
 
 def test_infer_type_rules():
@@ -292,3 +312,123 @@ def test_compiled_effects_match_apply_effects(effects, values, wrap):
     compiled = outcome(compile_effects(spec, effects, wrap=wrap), values)
     expected = outcome(lambda: apply_effects(spec, effects, env, wrap=wrap).values)
     assert compiled == expected
+
+
+# --- column-wise exhaustiveness vs the per-valuation oracle --------------------
+
+@pytest.mark.parametrize("gap", [0, 1023, 1024, 2047, 2048, 9999])
+def test_exhaustiveness_reports_the_gap_in_any_block(gap):
+    spec = spec_of(VarDecl("x", 0, 99, 0), VarDecl("y", -50, 49, 0))
+    x, y = gap // 100, gap % 100 - 50
+    point = BinOp("&&", BinOp("==", VarRef("x"), IntLit(x)),
+                  BinOp("==", VarRef("y"), IntLit(y)))
+    behavior = ActionBehavior((ActionOutcome(NotOp(point), TickResult.SUCCESS),))
+    with pytest.raises(ExhaustivenessError) as err:
+        check_outcome_exhaustiveness(spec, "a1", behavior)
+    assert str(err.value) == f"action 'a1': no outcome guard holds for {{'x': {x}, 'y': {y}}}"
+
+
+@st.composite
+def guard_models(draw):
+    """A spec of 1-4 variables (bools, and integers with negative lower
+    bounds and one-value domains; under 8,192 valuations in all) and 1-4
+    well-typed guards over them. The last guard is often the negation of the
+    others with a hole cut out at a random point, so that a gap can fall
+    anywhere in product order."""
+    decls, size = [], 1
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            decls.append(VarDecl(f"v{i}", None, None, False))
+        else:
+            lo = draw(st.integers(-6, 3))
+            width = draw(st.integers(1, max(1, min(40, 4096 // size))))
+            decls.append(VarDecl(f"v{i}", lo, lo + width - 1, lo))
+        size = spec_of(*decls).domain_product_size(d.name for d in decls)
+    ints = [d for d in decls if not d.is_bool]
+    int_leaves = st.integers(-8, 8).map(IntLit)
+    if ints:
+        int_leaves = int_leaves | st.sampled_from([VarRef(d.name) for d in ints])
+    int_expr = st.recursive(
+        int_leaves,
+        lambda sub: st.builds(BinOp, st.sampled_from(["+", "-"]), sub, sub),
+        max_leaves=4)
+    bool_leaves = st.booleans().map(BoolLit) | st.builds(
+        BinOp, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), int_expr, int_expr)
+    bools = [VarRef(d.name) for d in decls if d.is_bool]
+    if bools:
+        bool_leaves = bool_leaves | st.sampled_from(bools)
+    bool_expr = st.recursive(
+        bool_leaves,
+        lambda sub: sub.map(NotOp) | st.builds(BinOp, st.sampled_from(["&&", "||"]),
+                                                sub, sub),
+        max_leaves=6)
+    guards = draw(st.lists(bool_expr, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        rest = guards[0]
+        for g in guards[1:]:
+            rest = BinOp("||", rest, g)
+        complement = NotOp(rest)
+        point = []
+        for d in draw(st.lists(st.sampled_from(decls), unique=True)):
+            if d.is_bool:
+                point.append(VarRef(d.name) if draw(st.booleans())
+                             else NotOp(VarRef(d.name)))
+            else:
+                k = IntLit(draw(st.integers(d.lo, d.hi)))
+                point.append(BinOp("==", VarRef(d.name), k))
+        if point:
+            hole = point[0]
+            for term in point[1:]:
+                hole = BinOp("&&", hole, term)
+            complement = BinOp("&&", complement, NotOp(hole))
+        guards.append(complement)
+    behavior = ActionBehavior(tuple(ActionOutcome(g, TickResult.SUCCESS)
+                                    for g in guards))
+    return spec_of(*decls), behavior
+
+
+def result_or_error(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except ExhaustivenessError as err:
+        return type(err), str(err)
+
+
+@given(guard_models())
+@settings(max_examples=200, deadline=None)
+def test_column_exhaustiveness_matches_naive_oracle(model):
+    spec, behavior = model
+    expected = result_or_error(naive_exhaustiveness, spec, "a1", behavior)
+    default = btv.envmodel.EXHAUSTIVENESS_BLOCK
+    try:
+        for block in (1, 3, default):
+            btv.envmodel.EXHAUSTIVENESS_BLOCK = block
+            assert result_or_error(check_outcome_exhaustiveness,
+                                   spec, "a1", behavior) == expected, block
+    finally:
+        btv.envmodel.EXHAUSTIVENESS_BLOCK = default
+
+
+@given(guard_models())
+@settings(max_examples=100, deadline=None)
+def test_value_columns_and_compile_column_match_evaluator(model):
+    spec, behavior = model
+    every = list(spec.valuations(spec.slots))
+    assert list(zip(*spec.value_columns(spec.slots))) == every
+    block = every[::len(every) // 50 + 1]
+    columns = list(zip(*block))
+    for o in behavior.outcomes:
+        for e in (o.guard, *_subexpressions(o.guard)):
+            got = list(compile_column(e, spec.slots)(columns, len(block)))
+            want = [eval_expr(e, EnvState(values, spec.slots)) for values in block]
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+def _subexpressions(e):
+    if isinstance(e, NotOp):
+        yield e.operand
+        yield from _subexpressions(e.operand)
+    elif isinstance(e, BinOp):
+        for side in (e.left, e.right):
+            yield side
+            yield from _subexpressions(side)
