@@ -13,7 +13,7 @@ from .core import (
     ValidationReport,
     validate_tree,
 )
-from .envmodel import EnvSpec, EnvState, apply_effects, check_invariants, eval_predicate
+from .envmodel import EnvSpec, EnvState, apply_effects, check_invariants
 from .frontend import bundled_model_path, elaborate, load_model, parse, render_model
 from .semantics import (
     Event,
@@ -33,6 +33,6 @@ __all__ = [
     "MachineState", "Model", "NodeType", "Status", "TickResult", "TreeSpec",
     "ValidationReport", "Verdict", "apply_effects", "apply_event",
     "bundled_model_path", "check_invariants", "elaborate", "enabled_events",
-    "eval_predicate", "explore", "initial_state", "load_model", "parse",
-    "render_model", "replay", "tick_cycle", "validate_tree",
+    "explore", "initial_state", "load_model", "parse", "render_model",
+    "replay", "tick_cycle", "validate_tree",
 ]

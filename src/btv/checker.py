@@ -6,17 +6,16 @@ initial one) is checked against the model's invariants; the first problem in
 BFS order wins, tie-broken by the rule order of the enabled events, so
 counterexamples are minimal in transition count and reproducible.
 
-The search runs over packed states. A control id names a distinct (ticks,
-results, analyzing) vector triple. Only leaf outcomes read the environment,
-so a control id's candidate events and each event's next control id are the
-same in every state that shares it; they are computed once, on the first
-visit, by the executable spec in btv.semantics, with guards and effects
-compiled to closures over the env values tuple. Every discovered state is
-stored as one exact mixed-radix int of its control id and values (see
-StatePacking), mapped to its parent's int; values tuples live only on the
-frontier, where guards and effects read them. States are unpacked and
-decoded to MachineState only at the public boundary: on_state,
-counterexamples and their state deltas.
+The search steps packed states through btv.semantics._Automaton, whose
+control ids name distinct (ticks, results, analyzing) vector triples; it
+builds its own rather than Model.automaton, so that the control table is
+freed with the search. Every discovered state is stored as one exact
+mixed-radix int of its control id and values (see StatePacking), mapped to
+its parent's int; values tuples live only on the frontier, where guards and
+effects read them. States are unpacked and decoded to MachineState only at
+the public boundary: on_state, counterexamples and their state deltas.
+replay applies a trace through the same compiled guards and effects, so it
+does not check a counterexample independently; the tests' oracles do.
 """
 
 from __future__ import annotations
@@ -28,23 +27,16 @@ from enum import Enum
 from operator import mul
 
 from .core import TickResult
-from .envmodel import (
-    DomainViolationError,
-    EnvSpec,
-    EnvState,
-    check_invariants,
-    compile_effects,
-    compile_predicate,
-)
+from .envmodel import DomainViolationError, EnvState, check_invariants
+# StatePacking is re-exported for `from btv.checker import StatePacking`.
 from .semantics import (
     Event,
     EventKind,
     EventNotEnabledError,
     MachineState,
     Model,
-    _candidates,
-    _event_effects,
-    _fire_control,
+    StatePacking,
+    _Automaton,
     apply_event,
     initial_state,
 )
@@ -100,121 +92,6 @@ class Verdict:
     violating_event: Event | None = None
     detail: str | None = None
     stats: Stats = field(default_factory=Stats)
-
-
-class StatePacking:
-    """Exact ints for (control id, env values) pairs of one EnvSpec.
-
-    The key is cid * span + sum((v_i - lo_i) * w_i): bools count as 0/1 with
-    lo 0, span is the product of the domain sizes and w_i the product of the
-    sizes of the slots after i. On in-domain values this is a bijection, so
-    keys are equal exactly when the pairs are.
-    """
-
-    def __init__(self, spec: EnvSpec):
-        # (size, lo, is_bool) from the last slot to the first, as unpack
-        # peels the digits off.
-        self._digits = []
-        weights = []
-        weight = 1
-        for var in reversed(spec.variables):
-            lo = 0 if var.is_bool else var.lo
-            size = 2 if var.is_bool else var.hi - var.lo + 1
-            self._digits.append((size, lo, var.is_bool))
-            weights.append(weight)
-            weight *= size
-        self.span = weight
-        self.weights = tuple(reversed(weights))
-        # Folds the lower bounds in, so a key is base + dot(values, weights).
-        self.base = -sum(lo * w for (_, lo, _), w in zip(self._digits, weights))
-
-    def pack(self, cid: int, values: tuple) -> int:
-        return cid * self.span + self.base + sum(map(mul, values, self.weights))
-
-    def unpack(self, key: int) -> tuple:
-        """(cid, *values), with bools as bool."""
-        cid, rest = divmod(key, self.span)
-        values = []
-        for size, lo, is_bool in self._digits:
-            rest, digit = divmod(rest, size)
-            values.append(digit == 1 if is_bool else lo + digit)
-        values.append(cid)
-        return tuple(reversed(values))
-
-
-class _Automaton:
-    """Control ids and their transition lists, built on first use.
-
-    A transition is (event, guard, effects, next control id, shift): `guard`
-    maps the env values tuple to whether the event is enabled, `effects`
-    maps it to the successor's values; either is None when the event has
-    none. `shift` gives the successor's key: without effects it is
-    key + shift, with effects it is shift + dot(new values, weights).
-    """
-
-    def __init__(self, model: Model):
-        self.model = model
-        self.packing = StatePacking(model.env)
-        self.ids: dict[tuple, int] = {}
-        self.controls: list[tuple] = []
-        self.table: list[list | None] = []
-        self._compiled: dict[Event, tuple] = {}
-
-    def intern(self, control: tuple) -> int:
-        cid = self.ids.get(control)
-        if cid is None:
-            cid = self.ids[control] = len(self.controls)
-            self.controls.append(control)
-            self.table.append(None)
-        return cid
-
-    def transitions(self, cid: int) -> list:
-        out = self.table[cid]
-        if out is None:
-            model, control = self.model, self.controls[cid]
-            span, base = self.packing.span, self.packing.base
-            out = []
-            for event, guard in _candidates(model, control[0], control[1]):
-                test, apply = self._compile(event, guard)
-                nxt = self.intern(_fire_control(model, control, event))
-                shift = (nxt - cid) * span if apply is None else nxt * span + base
-                out.append((event, test, apply, nxt, shift))
-            self.table[cid] = out
-        return out
-
-    def _compile(self, event: Event, guard) -> tuple:
-        compiled = self._compiled.get(event)
-        if compiled is None:
-            env = self.model.env
-            test = None
-            if guard is not None:
-                pred, wanted = guard
-                test = compile_predicate(pred, env.slots)
-                if not wanted:
-                    test = _negate(test)
-            effects, wrap = _event_effects(self.model, event)
-            apply = compile_effects(env, effects, wrap=wrap) if effects else None
-            compiled = self._compiled[event] = (test, apply)
-        return compiled
-
-    def decode(self, state: tuple) -> MachineState:
-        ticks, results, analyzing = self.controls[state[0]]
-        return MachineState(ticks, results, analyzing,
-                            EnvState(state[1:], self.model.env.slots))
-
-    def event_between(self, state: tuple, successor: tuple) -> Event:
-        """The first event, in rule order, leading from state to successor."""
-        values = state[1:]
-        for event, test, apply, nxt, _ in self.transitions(state[0]):
-            if nxt != successor[0] or test is not None and not test(values):
-                continue
-            if (apply(values) if apply is not None else values) == successor[1:]:
-                return event
-        raise AssertionError("no event connects the two states")
-
-
-def _negate(test):
-    return lambda values: not test(values)
 
 
 def explore(model: Model, options: ExploreOptions | None = None,

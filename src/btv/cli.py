@@ -26,9 +26,8 @@ from .checker import (
 from .core import ModelError, validate_tree
 from .frontend import _elaborate_tree, build_tree, load_model, parse, read_source
 from .semantics import (
-    DeadlockError,
+    CycleError,
     Model,
-    NonterminationError,
     deterministic_policy,
     initial_state,
     random_policy,
@@ -198,7 +197,7 @@ def cmd_simulate(args) -> int:
     for cycle in range(1, args.ticks + 1):
         try:
             state, result, events = tick_cycle(model, state, policy)
-        except (DeadlockError, NonterminationError) as err:
+        except CycleError as err:
             all_steps.extend(TraceStep(e, {}) for e in err.trace)
             error_text = str(err)
             if args.output == "text":

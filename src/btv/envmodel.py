@@ -7,15 +7,15 @@ rules; guards must cover every reachable valuation, which is checked by
 enumeration at load time when the guards' variables span few enough
 valuations.
 
-eval_expr and apply_effects are the executable definition of expressions
-and assignments. compile_expr, compile_predicate and compile_effects turn
-the same expressions into closures over a values tuple for the checker's
-search loop; tests hold them equal to the evaluator. compile_column turns a
-well-typed expression into a tree of lazy `map` calls over a block of
-valuations laid out as one column per variable (EnvSpec.value_columns), so
-that the exhaustiveness check, which may enumerate up to
-EXHAUSTIVENESS_ENUM_LIMIT valuations, evaluates its guards in C loops rather
-than with one closure call per valuation.
+compile_expr, compile_predicate and compile_effects define expressions and
+assignments as closures over a values tuple; every guard, effect and
+invariant is evaluated by them, and the tests hold them to a tree-walking
+evaluator. compile_column, their block form, turns a well-typed expression
+into a tree of lazy `map` calls over a block of valuations laid out as one
+column per variable (EnvSpec.value_columns), so that the exhaustiveness
+check, which may enumerate up to EXHAUSTIVENESS_ENUM_LIMIT valuations,
+evaluates its guards in C loops rather than with one closure call per
+valuation.
 """
 
 from __future__ import annotations
@@ -244,49 +244,7 @@ class ActionBehavior:
 LeafBehavior = Union[ConditionBehavior, ActionBehavior]
 
 
-# --- evaluation ------------------------------------------------------------
-
-def eval_expr(e: Expr, env: EnvState):
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, VarRef):
-        return env.get(e.name)
-    if isinstance(e, NotOp):
-        return not eval_expr(e.operand, env)
-    if isinstance(e, BinOp):
-        l = eval_expr(e.left, env)
-        if e.op == "&&":  # short-circuit
-            return bool(l) and bool(eval_expr(e.right, env))
-        if e.op == "||":
-            return bool(l) or bool(eval_expr(e.right, env))
-        r = eval_expr(e.right, env)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "<":
-            return l < r
-        if e.op == "<=":
-            return l <= r
-        if e.op == ">":
-            return l > r
-        if e.op == ">=":
-            return l >= r
-        if e.op == "==":
-            return l == r
-        if e.op == "!=":
-            return l != r
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def eval_predicate(p: Expr, env: EnvState) -> bool:
-    value = eval_expr(p, env)
-    if not isinstance(value, bool):
-        raise ExpressionTypeError(f"predicate evaluated to non-boolean {value!r}")
-    return value
-
+# --- typing and evaluation --------------------------------------------------
 
 def infer_type(e: Expr, spec: EnvSpec) -> str:
     """Return "int" or "bool"; raise ExpressionTypeError on ill-typed trees."""
@@ -349,18 +307,9 @@ def domain_checked(decl: VarDecl, value, wrap: bool):
 
 def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
                   *, wrap: bool = False) -> EnvState:
-    """Apply assignments with simultaneous-read, sequential-write semantics.
-
-    Every right-hand side is evaluated against the incoming env, then values
-    are written in listed order. Out-of-domain integer results raise
-    DomainViolationError, or wrap into the domain when `wrap` is set (used
-    for root-result hooks).
-    """
-    staged = [(a.name, eval_expr(a.expr, env)) for a in effects]
-    out = list(env.values)
-    for name, value in staged:
-        out[env.slots[name]] = domain_checked(spec.decl(name), value, wrap)
-    return EnvState(tuple(out), env.slots)
+    """Apply assignments to a valuation laid out by spec.slots, with
+    compile_effects' semantics."""
+    return EnvState(compile_effects(spec, effects, wrap=wrap)(env.values), env.slots)
 
 
 def check_invariants(spec: EnvSpec, env: EnvState) -> list[str]:
@@ -370,7 +319,7 @@ def check_invariants(spec: EnvSpec, env: EnvState) -> list[str]:
         return [name for name, holds in spec.compiled_invariants if not holds(values)]
     # A valuation laid out by some other spec: go by name.
     return [name for name, pred in spec.invariants
-            if not eval_predicate(pred, env)]
+            if not compile_predicate(pred, env.slots)(env.values)]
 
 
 def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
@@ -416,8 +365,8 @@ def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
 
 # --- compiled expressions ------------------------------------------------------
 
-# A compiled expression maps a values tuple, laid out by `slots`, to the value
-# eval_expr gives for the same valuation.
+# A compiled expression maps a values tuple, laid out by `slots`, to the
+# expression's value in that valuation.
 Compiled = Callable[[tuple], object]
 
 _BINARY = {
@@ -428,7 +377,8 @@ _BINARY = {
 
 
 def compile_expr(e: Expr, slots: Mapping[str, int]) -> Compiled:
-    """A closure computing eval_expr(e, env) from env.values.
+    """A closure computing e's value, with Python's operators, from a values
+    tuple; `&&` and `||` short-circuit to bools.
 
     Closures rather than generated source, so that expression depth is
     bounded by the parser's expression limits, not by the compiler's.
@@ -461,7 +411,7 @@ def compile_expr(e: Expr, slots: Mapping[str, int]) -> Compiled:
 
 
 # A column-compiled expression maps a block of n valuations, given as one
-# column per slot, to an iterable of the n values eval_expr gives for them.
+# column per slot, to an iterable of the n values compile_expr gives for them.
 ColumnCompiled = Callable[[Sequence[Sequence], int], Iterable]
 
 _COLUMN_BINARY = {**_BINARY, "&&": operator.and_, "||": operator.or_}
@@ -473,8 +423,8 @@ def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
 
     The expression must be well typed (infer_type) and read only variables
     in `slots`: `&&`, `||` and `!` are applied without bool() coercion and
-    without short-circuit, which gives eval_expr's values only for boolean
-    operands.
+    without short-circuit, which gives compile_expr's values only for
+    boolean operands.
     """
     if isinstance(e, (IntLit, BoolLit)):
         const = e.value
@@ -494,7 +444,7 @@ def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
 
 
 def compile_predicate(p: Expr, slots: Mapping[str, int]) -> Compiled:
-    """compile_expr with eval_predicate's check that the value is a bool."""
+    """compile_expr, raising ExpressionTypeError on a non-boolean value."""
     f = compile_expr(p, slots)
 
     def checked(values):
@@ -507,8 +457,11 @@ def compile_predicate(p: Expr, slots: Mapping[str, int]) -> Compiled:
 
 def compile_effects(spec: EnvSpec, effects: Iterable[Assignment], *,
                     wrap: bool = False) -> Callable[[tuple], tuple]:
-    """A closure computing apply_effects(spec, effects, env, wrap=wrap).values
-    from env.values, for valuations laid out by spec.slots."""
+    """A closure mapping a values tuple laid out by spec.slots to the values
+    after the assignments. Every right-hand side reads the incoming values,
+    then the writes happen in listed order. An out-of-domain result raises
+    DomainViolationError, or with `wrap` (root-result hooks) an integer
+    wraps into its domain."""
     staged = [(spec.slots[a.name], compile_expr(a.expr, spec.slots), spec.decl(a.name))
               for a in effects]
 

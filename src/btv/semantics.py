@@ -11,11 +11,11 @@ A tick cycle runs from an all-unticked state until ROOT_REINITIALIZE fires;
 the root result of the cycle is the one copied up by RESULT_ARRIVED, which
 also runs the model's root-result hook (e.g. timestep bookkeeping).
 
-Only leaf outcomes read the environment. enabled_events is therefore the
-environment-free candidate list of _candidates filtered by each candidate's
-guard, and apply_event is a guard check followed by _fire, whose control
-part (_fire_control) and assignments (_event_effects) the checker reuses to
-build its per-control-id transition lists.
+Only leaf outcomes read the environment, so the (ticks, results, analyzing)
+vectors fix a state's candidate events and where each leads. _Automaton
+builds that transition list once per distinct triple, with guards and
+effects compiled to closures over the env values tuple; the search,
+enabled_events, apply_event, tick_cycle and replay all step through it.
 """
 
 from __future__ import annotations
@@ -23,17 +23,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import mul
 from typing import Callable, Mapping
 
 from .core import ModelError, NodeType, TickResult, TreeSpec
 from .envmodel import (
-    Assignment,
+    DomainViolationError,
     EnvSpec,
     EnvState,
     Expr,
     LeafBehavior,
-    apply_effects,
-    eval_predicate,
+    compile_effects,
+    compile_predicate,
 )
 
 
@@ -41,16 +43,21 @@ class EventNotEnabledError(ModelError):
     pass
 
 
-class DeadlockError(ModelError):
+class CycleError(ModelError):
+    """A tick cycle that stopped before ROOT_REINITIALIZE; `trace` holds the
+    events fired before the failure."""
+
     def __init__(self, msg: str, trace: list["Event"]):
         super().__init__(msg)
         self.trace = trace
 
 
-class NonterminationError(ModelError):
-    def __init__(self, msg: str, trace: list["Event"]):
-        super().__init__(msg)
-        self.trace = trace
+class DeadlockError(CycleError):
+    pass
+
+
+class NonterminationError(CycleError):
+    pass
 
 
 class EventKind(Enum):
@@ -100,6 +107,11 @@ class Model:
     source_sha256: str | None = field(default=None, compare=False)
     # Load-time checks that had to be skipped, one message each.
     warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    @cached_property
+    def automaton(self) -> "_Automaton":
+        """The transition lists enabled_events and apply_event step through."""
+        return _Automaton(self)
 
 
 @dataclass(frozen=True)
@@ -193,18 +205,20 @@ def _candidates(model: Model, ticks: tuple, results: tuple
     return [(Event(kind, node), None)]
 
 
+def _transitions(model: Model, state: MachineState) -> list:
+    auto = model.automaton
+    return auto.transitions(auto.intern((state.ticks, state.results, state.analyzing)))
+
+
 def enabled_events(model: Model, state: MachineState) -> list[Event]:
     """All events whose guard holds, in rule order.
 
     Defined on states reached from initial_state: the derivation in
     _candidates relies on the shape those states have.
     """
-    return [e for e, guard in _candidates(model, state.ticks, state.results)
-            if guard is None or eval_predicate(guard[0], state.env) == guard[1]]
-
-
-def _set(tup: tuple, i: int, value) -> tuple:
-    return tup[:i] + (value,) + tup[i + 1:]
+    values = state.env.values
+    return [event for event, test, _, _, _ in _transitions(model, state)
+            if test is None or test(values)]
 
 
 def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
@@ -213,26 +227,15 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
     Raises EventNotEnabledError when the guard does not hold (a scheduler
     bug) and DomainViolationError when an action effect leaves a domain.
     """
-    if e not in enabled_events(model, state):
-        raise EventNotEnabledError(f"event not enabled: {e.describe()}")
-    return _fire(model, state, e)
+    values = state.env.values
+    for event, test, apply, nxt, _ in _transitions(model, state):
+        if event == e and (test is None or test(values)):
+            return model.automaton.decode((nxt, *(values if apply is None else apply(values))))
+    raise EventNotEnabledError(f"event not enabled: {e.describe()}")
 
 
-def _fire(model: Model, state: MachineState, e: Event) -> MachineState:
-    """apply_event without the guard check."""
-    control = _fire_control(model, (state.ticks, state.results, state.analyzing), e)
-    effects, wrap = _event_effects(model, e)
-    env = apply_effects(model.env, effects, state.env, wrap=wrap) if effects else state.env
-    return MachineState(*control, env=env)
-
-
-def _event_effects(model: Model, e: Event) -> tuple[tuple[Assignment, ...], bool]:
-    """The assignments an event makes, and whether they wrap into the domain."""
-    if e.kind is EventKind.RESULT_ARRIVED:
-        return model.env.root_result_hook, True
-    if e.kind is EventKind.ACT_OUTCOME:
-        return model.behaviors[e.node].outcomes[e.outcome[1]].effects, False
-    return (), False
+def _set(tup: tuple, i: int, value) -> tuple:
+    return tup[:i] + (value,) + tup[i + 1:]
 
 
 def _fire_control(model: Model, control: tuple[tuple, tuple, tuple], e: Event
@@ -279,6 +282,127 @@ def _fire_control(model: Model, control: tuple[tuple, tuple, tuple], e: Event
     return ticks, _set(results, i, result), analyzing
 
 
+# --- the compiled transition system -------------------------------------------
+
+class StatePacking:
+    """Exact ints for (control id, env values) pairs of one EnvSpec.
+
+    The key is cid * span + sum((v_i - lo_i) * w_i): bools count as 0/1 with
+    lo 0, span is the product of the domain sizes and w_i the product of the
+    sizes of the slots after i. On in-domain values this is a bijection, so
+    keys are equal exactly when the pairs are.
+    """
+
+    def __init__(self, spec: EnvSpec):
+        # (size, lo, is_bool) from the last slot to the first, as unpack
+        # peels the digits off.
+        self._digits = []
+        weights = []
+        weight = 1
+        for var in reversed(spec.variables):
+            lo = 0 if var.is_bool else var.lo
+            size = 2 if var.is_bool else var.hi - var.lo + 1
+            self._digits.append((size, lo, var.is_bool))
+            weights.append(weight)
+            weight *= size
+        self.span = weight
+        self.weights = tuple(reversed(weights))
+        # Folds the lower bounds in, so a key is base + dot(values, weights).
+        self.base = -sum(lo * w for (_, lo, _), w in zip(self._digits, weights))
+
+    def pack(self, cid: int, values: tuple) -> int:
+        return cid * self.span + self.base + sum(map(mul, values, self.weights))
+
+    def unpack(self, key: int) -> tuple:
+        """(cid, *values), with bools as bool."""
+        cid, rest = divmod(key, self.span)
+        values = []
+        for size, lo, is_bool in self._digits:
+            rest, digit = divmod(rest, size)
+            values.append(digit == 1 if is_bool else lo + digit)
+        values.append(cid)
+        return tuple(reversed(values))
+
+
+class _Automaton:
+    """Control ids and their transition lists, built on first use.
+
+    A transition is (event, guard, effects, next control id, shift): `guard`
+    maps the env values tuple to whether the event is enabled, `effects`
+    maps it to the successor's values; either is None when the event has
+    none. `shift` gives the successor's key: without effects it is
+    key + shift, with effects it is shift + dot(new values, weights).
+    """
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.packing = StatePacking(model.env)
+        self.ids: dict[tuple, int] = {}
+        self.controls: list[tuple] = []
+        self.table: list[list | None] = []
+        self._compiled: dict[Event, tuple] = {}
+
+    def intern(self, control: tuple) -> int:
+        cid = self.ids.get(control)
+        if cid is None:
+            cid = self.ids[control] = len(self.controls)
+            self.controls.append(control)
+            self.table.append(None)
+        return cid
+
+    def transitions(self, cid: int) -> list:
+        out = self.table[cid]
+        if out is None:
+            model, control = self.model, self.controls[cid]
+            span, base = self.packing.span, self.packing.base
+            out = []
+            for event, guard in _candidates(model, control[0], control[1]):
+                test, apply = self._compile(event, guard)
+                nxt = self.intern(_fire_control(model, control, event))
+                shift = (nxt - cid) * span if apply is None else nxt * span + base
+                out.append((event, test, apply, nxt, shift))
+            self.table[cid] = out
+        return out
+
+    def _compile(self, event: Event, guard: Guard | None) -> tuple:
+        compiled = self._compiled.get(event)
+        if compiled is None:
+            env = self.model.env
+            test = None
+            if guard is not None:
+                pred, wanted = guard
+                test = compile_predicate(pred, env.slots)
+                if not wanted:
+                    test = _negate(test)
+            effects, wrap = (), False
+            if event.kind is EventKind.RESULT_ARRIVED:
+                effects, wrap = env.root_result_hook, True
+            elif event.kind is EventKind.ACT_OUTCOME:
+                effects = self.model.behaviors[event.node].outcomes[event.outcome[1]].effects
+            apply = compile_effects(env, effects, wrap=wrap) if effects else None
+            compiled = self._compiled[event] = (test, apply)
+        return compiled
+
+    def decode(self, state: tuple) -> MachineState:
+        ticks, results, analyzing = self.controls[state[0]]
+        return MachineState(ticks, results, analyzing,
+                            EnvState(state[1:], self.model.env.slots))
+
+    def event_between(self, state: tuple, successor: tuple) -> Event:
+        """The first event, in rule order, leading from state to successor."""
+        values = state[1:]
+        for event, test, apply, nxt, _ in self.transitions(state[0]):
+            if nxt != successor[0] or test is not None and not test(values):
+                continue
+            if (apply(values) if apply is not None else values) == successor[1:]:
+                return event
+        raise AssertionError("no event connects the two states")
+
+
+def _negate(test):
+    return lambda values: not test(values)
+
+
 # --- schedulers and cycles --------------------------------------------------
 
 Policy = Callable[[list[Event], "Model", MachineState], Event]
@@ -307,7 +431,9 @@ def tick_cycle(model: Model, state: MachineState,
     """Run one full cycle from an all-unticked state until reinitialization.
 
     Returns the post-reinitialize state, the root result that arrived, and
-    the fired event trace.
+    the fired event trace. Raises a CycleError when the cycle cannot
+    complete: DeadlockError, NonterminationError, or CycleError itself when
+    an effect leaves a variable's domain.
     """
     if any(state.ticks):
         raise ValueError("tick_cycle requires a cycle-start state (all unticked)")
@@ -321,7 +447,12 @@ def tick_cycle(model: Model, state: MachineState,
         e = policy(enabled, model, state)
         if e.kind is EventKind.RESULT_ARRIVED:
             root_result = state.results[model.tree.node_index[e.child]]
-        state = apply_event(model, state, e)
+        try:
+            state = apply_event(model, state, e)
+        except DomainViolationError as err:
+            raise CycleError(
+                f"{e.describe()}: {err.name} := {err.value} leaves the declared domain",
+                trace) from err
         trace.append(e)
         if e.kind is EventKind.ROOT_REINITIALIZE:
             return state, root_result, trace

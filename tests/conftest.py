@@ -1,8 +1,17 @@
 """Shared fixtures and independent oracles.
 
-The enumeration helpers here deliberately avoid checker.py's machinery
-(packed states, control ids, compiled expressions): they walk the raw
-semantics so the checker has something independent to be compared against.
+The tool evaluates every guard, effect and invariant with closures compiled
+once per model (btv.envmodel.compile_expr and friends), and steps every
+state, in the search, simulation and replay alike, through the compiled
+transition lists of btv.semantics._Automaton. eval_expr, eval_predicate and
+apply_effects here are a tree-walking evaluator of the same expressions,
+and enabled_events, apply_event and _fire step MachineState objects with it;
+the tests hold the tool's closures and event API to them. The enumeration
+helpers below (naive_reachable, spec_explore, ...) walk only these copies,
+so they share no compiled closure with the tool and the checker has
+something independent to be compared against. They still derive a state's
+candidate events and next control vectors from semantics._candidates and
+_fire_control, which the tests hold to walk_candidates and reference_tick.
 walk_candidates and priority_key are the earlier every-node derivation of a
 state's events and the deterministic policy's old key, kept as the oracles
 for semantics._candidates and deterministic_policy. reference_tick is a
@@ -16,6 +25,8 @@ check_outcome_exhaustiveness.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pytest
 
 from btv import bundled_model_path, load_model
@@ -24,24 +35,32 @@ from btv.core import ModelError, NodeType, TickResult, TreeSpec
 from btv.envmodel import (
     EXHAUSTIVENESS_ENUM_LIMIT,
     ActionBehavior,
+    Assignment,
+    BinOp,
+    BoolLit,
     ConditionBehavior,
     DomainViolationError,
     EnvSpec,
     EnvState,
     ExhaustivenessError,
-    apply_effects,
+    ExpressionTypeError,
+    Expr,
+    IntLit,
+    NotOp,
+    VarRef,
     compile_predicate,
-    eval_predicate,
+    domain_checked,
     expr_variables,
 )
 from btv.semantics import (
     Event,
     EventKind,
+    EventNotEnabledError,
     Guard,
     MachineState,
     Model,
-    apply_event,
-    enabled_events,
+    _candidates,
+    _fire_control,
     initial_state,
 )
 
@@ -60,6 +79,106 @@ def robot_wall_buggy() -> Model:
 def fallback_running() -> Model:
     return load_model(bundled_model_path("fallback_running.bt"))
 
+
+# --- the tree-walking evaluator and event machine -----------------------------
+
+def eval_expr(e: Expr, env: EnvState):
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, BoolLit):
+        return e.value
+    if isinstance(e, VarRef):
+        return env.get(e.name)
+    if isinstance(e, NotOp):
+        return not eval_expr(e.operand, env)
+    if isinstance(e, BinOp):
+        l = eval_expr(e.left, env)
+        if e.op == "&&":  # short-circuit
+            return bool(l) and bool(eval_expr(e.right, env))
+        if e.op == "||":
+            return bool(l) or bool(eval_expr(e.right, env))
+        r = eval_expr(e.right, env)
+        if e.op == "+":
+            return l + r
+        if e.op == "-":
+            return l - r
+        if e.op == "<":
+            return l < r
+        if e.op == "<=":
+            return l <= r
+        if e.op == ">":
+            return l > r
+        if e.op == ">=":
+            return l >= r
+        if e.op == "==":
+            return l == r
+        if e.op == "!=":
+            return l != r
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def eval_predicate(p: Expr, env: EnvState) -> bool:
+    value = eval_expr(p, env)
+    if not isinstance(value, bool):
+        raise ExpressionTypeError(f"predicate evaluated to non-boolean {value!r}")
+    return value
+
+
+def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
+                  *, wrap: bool = False) -> EnvState:
+    """Apply assignments with simultaneous-read, sequential-write semantics.
+
+    Every right-hand side is evaluated against the incoming env, then values
+    are written in listed order. Out-of-domain integer results raise
+    DomainViolationError, or wrap into the domain when `wrap` is set (used
+    for root-result hooks).
+    """
+    staged = [(a.name, eval_expr(a.expr, env)) for a in effects]
+    out = list(env.values)
+    for name, value in staged:
+        out[env.slots[name]] = domain_checked(spec.decl(name), value, wrap)
+    return EnvState(tuple(out), env.slots)
+
+
+def enabled_events(model: Model, state: MachineState) -> list[Event]:
+    """All events whose guard holds, in rule order.
+
+    Defined on states reached from initial_state: the derivation in
+    _candidates relies on the shape those states have.
+    """
+    return [e for e, guard in _candidates(model, state.ticks, state.results)
+            if guard is None or eval_predicate(guard[0], state.env) == guard[1]]
+
+
+def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
+    """Successor state for an enabled event; the input state is not mutated.
+
+    Raises EventNotEnabledError when the guard does not hold (a scheduler
+    bug) and DomainViolationError when an action effect leaves a domain.
+    """
+    if e not in enabled_events(model, state):
+        raise EventNotEnabledError(f"event not enabled: {e.describe()}")
+    return _fire(model, state, e)
+
+
+def _fire(model: Model, state: MachineState, e: Event) -> MachineState:
+    """apply_event without the guard check."""
+    control = _fire_control(model, (state.ticks, state.results, state.analyzing), e)
+    effects, wrap = _event_effects(model, e)
+    env = apply_effects(model.env, effects, state.env, wrap=wrap) if effects else state.env
+    return MachineState(*control, env=env)
+
+
+def _event_effects(model: Model, e: Event) -> tuple[tuple[Assignment, ...], bool]:
+    """The assignments an event makes, and whether they wrap into the domain."""
+    if e.kind is EventKind.RESULT_ARRIVED:
+        return model.env.root_result_hook, True
+    if e.kind is EventKind.ACT_OUTCOME:
+        return model.behaviors[e.node].outcomes[e.outcome[1]].effects, False
+    return (), False
+
+
+# --- enumerators over the tree-walking machine --------------------------------
 
 def naive_reachable(model: Model, cap: int = 50_000) -> set:
     """Depth-first enumeration of reachable states with a plain visited set."""

@@ -160,6 +160,37 @@ def test_simulate_json_output(capsys):
     assert payload["env_per_cycle"][1]["distance_to_object"] == 8
 
 
+# The third cycle's effect leaves x's domain, which `check` reports as a
+# DOMAIN_VIOLATION.
+LEAVES_DOMAIN = """
+tree { root { action a; } }
+env { var x: int in 0..2 = 0; }
+action a { outcome SUCCESS when true { x := x + 1; } }
+"""
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_simulate_aborts_on_a_domain_violation(capsys, tmp_path, output):
+    path = tmp_path / "dv.bt"
+    path.write_text(LEAVES_DOMAIN)
+    trace_path = tmp_path / "sim.json"
+    code, out, err = run(capsys, "simulate", str(path), "--output", output,
+                         "--trace-out", str(trace_path))
+    assert (code, err) == (1, "")
+    error = "ACT_OUTCOME a [SUCCESS]: x := 3 leaves the declared domain"
+    payload = json.loads(trace_path.read_text())
+    if output == "text":
+        assert out.splitlines() == ["cycle 1: SUCCESS  x=1", "cycle 2: SUCCESS  x=2",
+                                    f"cycle 3: ERROR {error}"]
+    else:
+        assert json.loads(out) == payload
+    assert (payload["status"], payload["cycles"], payload["error"]) == ("ABORTED", 2, error)
+    # The trace ends just before the violating event.
+    events, sha = load_trace_file(trace_path)
+    assert events[-1].describe() == "ROOT_TICKED root -> a"
+    assert replay(load_model(str(path)), events, trace_sha256=sha).env.get("x") == 2
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.bt"])
@@ -416,10 +447,14 @@ def test_sigint_during_check_exits_130_with_partial_verdict(tmp_path):
     path = tmp_path / "long.bt"
     path.write_text(LONG_SEARCH)
     env = dict(os.environ, PYTHONPATH=str(Path(btv.__file__).parents[1]))
+    # A suite started with SIGINT ignored (a background job of a
+    # non-interactive shell) would pass that on, and Python installs its
+    # KeyboardInterrupt handler only over the default disposition.
     proc = subprocess.Popen(
         [sys.executable, "-m", "btv.cli", "check", str(path), "--output", "json",
          "--max-states", "1000000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         assert proc.stderr.readline().startswith("warning: action 'step'")
         time.sleep(0.3)  # into the search loop

@@ -26,12 +26,11 @@ from btv.envmodel import (
     compile_effects,
     compile_expr,
     compile_predicate,
-    eval_expr,
-    eval_predicate,
     infer_type,
 )
 from btv.core import TickResult
-from conftest import naive_exhaustiveness
+import conftest
+from conftest import eval_expr, eval_predicate, naive_exhaustiveness
 
 
 def env_of(**values):
@@ -45,25 +44,31 @@ def spec_of(*decls, invariants=(), hook=()):
 DIST = VarDecl("distance_to_object", 0, 10, 10)
 
 
+def evaluate(pred, env):
+    """The tool's value of `pred` in `env`."""
+    return compile_predicate(pred, env.slots)(env.values)
+
+
 def test_eval_distance_threshold():
     pred = BinOp(">=", VarRef("distance_to_object"), IntLit(5))
-    assert eval_predicate(pred, env_of(distance_to_object=10)) is True
-    assert eval_predicate(pred, env_of(distance_to_object=4)) is False
+    assert evaluate(pred, env_of(distance_to_object=10)) is True
+    assert evaluate(pred, env_of(distance_to_object=4)) is False
 
 
 def test_eval_boundary_of_ge():
     pred = BinOp(">=", VarRef("x"), IntLit(5))
-    assert eval_predicate(pred, env_of(x=5)) is True
+    assert evaluate(pred, env_of(x=5)) is True
 
 
 def test_eval_boolean_identity():
     pred = NotOp(BinOp("&&", VarRef("a"), VarRef("b")))
-    assert eval_predicate(pred, env_of(a=True, b=False)) is True
+    assert evaluate(pred, env_of(a=True, b=False)) is True
 
 
 def test_eval_unknown_variable():
+    env = env_of(x=1)
     with pytest.raises(UnknownVariableError):
-        eval_expr(VarRef("ghost"), env_of(x=1))
+        compile_expr(VarRef("ghost"), env.slots)(env.values)
 
 
 def test_apply_effects_decrement():
@@ -209,7 +214,7 @@ def test_infer_type_rules():
     assert "ghost" in str(err.value)
 
 
-# --- evaluator vs CPython ----------------------------------------------------
+# --- the tests' tree-walking evaluator vs CPython ------------------------------
 
 int_exprs = st.recursive(
     st.one_of(st.integers(-20, 20).map(IntLit),
@@ -252,7 +257,7 @@ def test_eval_matches_cpython(expr, x, y):
     assert eval_expr(expr, env) == expected
 
 
-# --- compiled closures vs evaluator ---------------------------------------------
+# --- compiled closures vs the tree-walking evaluator -----------------------------
 
 XYF = spec_of(VarDecl("x", -20, 20, 0), VarDecl("y", -20, 20, 0),
               VarDecl("f", None, None, False))
@@ -310,7 +315,7 @@ def test_compiled_effects_match_apply_effects(effects, values, wrap):
                    VarDecl("f", None, None, False))
     env = EnvState(values, spec.slots)
     compiled = outcome(compile_effects(spec, effects, wrap=wrap), values)
-    expected = outcome(lambda: apply_effects(spec, effects, env, wrap=wrap).values)
+    expected = outcome(lambda: conftest.apply_effects(spec, effects, env, wrap=wrap).values)
     assert compiled == expected
 
 

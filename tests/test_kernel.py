@@ -1,8 +1,11 @@
-"""The checker's packed-state search against the spec-driven oracle.
+"""The compiled transition system against the tree-walking oracle.
 
 explore runs over control ids and compiled expressions; spec_explore in
-conftest walks MachineState objects with enabled_events/apply_event. Their
-verdicts, counterexamples and state deltas must agree exactly. The events
+conftest walks MachineState objects with conftest's tree-walking
+enabled_events/apply_event. Their verdicts, counterexamples and state
+deltas must agree exactly, and so must btv.semantics' enabled_events and
+apply_event, which step through the same compiled transition lists as
+explore, and conftest's copies, in every reachable state. The events
 of each control id, derived from its one active node, must equal those of
 conftest's every-node walk. Visited states are stored as exact packed ints,
 which must unpack to the same control id and values.
@@ -28,6 +31,7 @@ from btv.checker import (
     step_from_json,
     verdict_to_json,
 )
+from btv.core import ModelError
 from btv.envmodel import (
     BinOp,
     DomainViolationError,
@@ -35,12 +39,20 @@ from btv.envmodel import (
     IntLit,
     VarDecl,
     VarRef,
-    eval_predicate,
 )
 from btv.frontend import elaborate, parse
-from btv.semantics import _candidates, apply_event, deterministic_policy, enabled_events
+from btv.semantics import _candidates, deterministic_policy
+import btv.semantics
 
-from conftest import naive_reachable, priority_key, spec_explore, walk_candidates
+from conftest import (
+    apply_event,
+    enabled_events,
+    eval_predicate,
+    naive_reachable,
+    priority_key,
+    spec_explore,
+    walk_candidates,
+)
 from randmodels import GenParams, random_model_source
 
 BUNDLED = ("robot_wall.bt", "robot_wall_buggy.bt", "fallback_running.bt")
@@ -112,6 +124,14 @@ def test_verdicts_match_spec_oracle(options, reached):
     assert statuses == reached
 
 
+def outcome(fn, *args):
+    """fn's result, or the type and text of the ModelError it raised."""
+    try:
+        return fn(*args)
+    except ModelError as err:
+        return type(err), str(err)
+
+
 def test_on_state_sees_exactly_the_reachable_states():
     for name, model in corpus():
         if name.endswith("+probe") or name in ("robot_wall_buggy.bt", "drain", "deadlock"):
@@ -119,7 +139,15 @@ def test_on_state_sees_exactly_the_reachable_states():
         seen = []
         explore(model, on_state=seen.append)
         assert len(seen) == len(set(seen)), name
-        assert set(seen) == naive_reachable(model), name
+        reachable = naive_reachable(model)
+        assert set(seen) == reachable, name
+        # The event API steps through the compiled transition lists.
+        for state in reachable:
+            assert btv.semantics.enabled_events(model, state) == \
+                enabled_events(model, state), name
+            for event, _ in walk_candidates(model, state.ticks, state.results):
+                assert outcome(btv.semantics.apply_event, model, state, event) == \
+                    outcome(apply_event, model, state, event), name
 
 
 def deeper_random_models():
@@ -178,6 +206,8 @@ def test_every_counterexample_replays_through_the_trace_file(tmp_path):
             assert event in enabled_events(model, state), name
             with pytest.raises(DomainViolationError):
                 apply_event(model, state, event)
+            assert outcome(btv.semantics.apply_event, model, state, event) == \
+                outcome(apply_event, model, state, event), name
         replayed.add(verdict.status)
     assert replayed == {Status.VIOLATED, Status.DEADLOCK, Status.DOMAIN_VIOLATION}
 
