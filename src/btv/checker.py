@@ -7,13 +7,15 @@ BFS order wins, tie-broken by the rule order of the enabled events, so
 counterexamples are minimal in transition count and reproducible.
 
 The search steps packed states through btv.semantics._Automaton, whose
-control ids name distinct (ticks, results, analyzing) vector triples; it
-builds its own rather than Model.automaton, so that the control table is
-freed with the search. Every discovered state is stored as one exact
-mixed-radix int of its control id and values (see StatePacking), mapped to
-its parent's int; values tuples live only on the frontier, where guards and
-effects read them. States are unpacked and decoded to MachineState only at
-the public boundary: on_state, counterexamples and their state deltas.
+control ids name distinct control codes (one byte per node: ticked, result
+and analyzing); it builds its own rather than Model.automaton, so that the
+control table is freed with the search. Every discovered state is stored
+as one exact mixed-radix int of its control id and values (see
+StatePacking), mapped to its parent's int; values tuples live only on the
+frontier, where guards and effects read them. States are decoded to
+MachineState only for on_state. A counterexample's keys are unpacked, and
+each step's state delta is read from the control codes of the nodes its
+event touched (all nodes only for ROOT_REINITIALIZE) and from the values.
 replay applies a trace through the same compiled guards and effects, so it
 does not check a counterexample independently; the tests' oracles do.
 """
@@ -37,6 +39,7 @@ from .semantics import (
     Model,
     StatePacking,
     _Automaton,
+    _control_delta,
     apply_event,
     initial_state,
 )
@@ -114,8 +117,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
 
     start = initial_state(model)
     init_values = start.env.values
-    init = auto.packing.pack(
-        auto.intern((start.ticks, start.results, start.analyzing)), init_values)
+    init = auto.packing.pack(auto.intern(start.code), init_values)
     # Each discovered state's key maps to the key it was first reached from.
     visited: dict[int, int | None] = {init: None}
     transitions = 0
@@ -208,33 +210,21 @@ def _trace_to(model: Model, auto: _Automaton, visited: dict,
         path.append(visited[path[-1]])
     path.reverse()
     unpack = auto.packing.unpack
+    names = model.env.slots
     state = unpack(path[0])
-    before = auto.decode(state)
     steps = []
     for key in path[1:]:
         successor = unpack(key)
-        after = auto.decode(successor)
-        steps.append(TraceStep(auto.event_between(state, successor),
-                               _state_delta(model, before, after)))
-        state, before = successor, after
+        event = auto.event_between(state, successor)
+        delta = _control_delta(model, event, auto.controls[state[0]],
+                               auto.controls[successor[0]])
+        env_changed = {name: a for name, b, a in zip(names, state[1:], successor[1:])
+                       if a != b}
+        if env_changed:
+            delta["env"] = env_changed
+        steps.append(TraceStep(event, delta))
+        state = successor
     return steps
-
-
-def _state_delta(model: Model, before: MachineState, after: MachineState) -> dict:
-    order = model.tree.node_order
-    delta: dict = {}
-    for b_vec, a_vec, label in ((before.ticks, after.ticks, "n_tick"),
-                                (before.results, after.results, "n_result"),
-                                (before.analyzing, after.analyzing, "analyzing_subtree")):
-        if b_vec == a_vec:
-            continue
-        delta[label] = {node: a.value if isinstance(a, TickResult) else a
-                        for node, b, a in zip(order, b_vec, a_vec) if b != a}
-    env_changed = {name: after_v for (name, after_v), before_v
-                   in zip(after.env.items(), before.env.values) if after_v != before_v}
-    if env_changed:
-        delta["env"] = env_changed
-    return delta
 
 
 def replay(model: Model, trace, *, trace_sha256: str | None = None) -> MachineState:

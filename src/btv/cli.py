@@ -8,6 +8,7 @@ validation, 2 usage/parse/I-O error, 3 bound exceeded, 4 internal error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -164,15 +165,21 @@ def _print_verdict_text(verdict: Verdict, model: Model) -> None:
         print(f"  violating event: {verdict.violating_event.describe()}")
 
 
+def _open_trace_out(path: str | None):
+    """The --trace-out file, opened before any work so that an unwritable
+    path is reported at once, not after the search."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
 def cmd_check(args) -> int:
-    model = load_model(args.model)
-    _print_warnings(model.warnings)
-    options = ExploreOptions(max_states=args.max_states, max_depth=args.max_depth)
-    verdict = explore(model, options)
-    payload = verdict_to_json(verdict, model)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+    with _open_trace_out(args.trace_out) as trace_out:
+        model = load_model(args.model)
+        _print_warnings(model.warnings)
+        options = ExploreOptions(max_states=args.max_states, max_depth=args.max_depth)
+        verdict = explore(model, options)
+        payload = verdict_to_json(verdict, model)
+        if trace_out:
+            json.dump(payload, trace_out, indent=2)
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -183,6 +190,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    with _open_trace_out(args.trace_out) as trace_out:
+        return _simulate(args, trace_out)
+
+
+def _simulate(args, trace_out) -> int:
     model = load_model(args.model)
     if args.policy == "random":
         policy = random_policy(random.Random(args.seed))
@@ -221,9 +233,8 @@ def cmd_simulate(args) -> int:
     }
     if args.output == "json":
         print(json.dumps(payload, indent=2))
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+    if trace_out:
+        json.dump(payload, trace_out, indent=2)
     return EXIT_VIOLATED if failed else EXIT_OK
 
 

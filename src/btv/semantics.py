@@ -11,9 +11,16 @@ A tick cycle runs from an all-unticked state until ROOT_REINITIALIZE fires;
 the root result of the cycle is the one copied up by RESULT_ARRIVED, which
 also runs the model's root-result hook (e.g. timestep bookkeeping).
 
-Only leaf outcomes read the environment, so the (ticks, results, analyzing)
-vectors fix a state's candidate events and where each leads. _Automaton
-builds that transition list once per distinct triple, with guards and
+Inside the tool the per-node part of a state is its control code: one
+`bytes` object with one byte per node in tree.node_order, bit 0 ticked,
+bits 1-2 the result and bit 3 analyzing (see _encode_control). An event
+edits one or two of those bytes, ROOT_REINITIALIZE is one bytes.translate,
+and the public (ticks, results, analyzing) tuples of MachineState are
+built from a code only at the boundary.
+
+Only leaf outcomes read the environment, so a state's control code fixes
+its candidate events and where each leads. _Automaton interns the codes as
+control ids and builds each one's transition list once, with guards and
 effects compiled to closures over the env values tuple; the search,
 enabled_events, apply_event, tick_cycle and replay all step through it.
 """
@@ -24,10 +31,10 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import mul
-from typing import Callable, Mapping
+from operator import itemgetter, mul
+from typing import Callable, Mapping, NamedTuple
 
-from .core import ModelError, NodeType, TickResult, TreeSpec
+from .core import ModelError, NodeType, TickResult, TreeSpec, bfs_numbering
 from .envmodel import (
     DomainViolationError,
     EnvSpec,
@@ -111,7 +118,26 @@ class Model:
     @cached_property
     def automaton(self) -> "_Automaton":
         """The transition lists enabled_events and apply_event step through."""
-        return _Automaton(self)
+        return _Automaton(self, keep_vectors=True)
+
+    @cached_property
+    def _breadth_first(self) -> "_BreadthFirst":
+        """The tree in breadth-first order, which _candidates scans."""
+        nodes = tuple(bfs_numbering(self.tree))  # numbered in walk order
+        idx = self.tree.node_index
+        gather = None if nodes == self.tree.node_order else tuple(map(idx.__getitem__, nodes))
+        return _BreadthFirst(nodes, {node: i for i, node in enumerate(nodes)}, gather)
+
+
+class _BreadthFirst(NamedTuple):
+    """A tree's nodes in breadth-first order, in which every node comes
+    after its parent and each node's children are consecutive."""
+
+    nodes: tuple[str, ...]
+    position: Mapping[str, int]
+    # The code index of each node in this order; None when the n_ids are
+    # already breadth-first, as in every model loaded from a .bt file.
+    gather: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -122,53 +148,101 @@ class MachineState:
     results: tuple[TickResult, ...]
     analyzing: tuple[bool, ...]
     env: EnvState
+    # The control code of (ticks, results, analyzing) when the state came
+    # from the tool (initial_state, apply_event, on_state), so that stepping
+    # on does not encode it again. Not an __init__ argument, so a state
+    # built or replaced by hand never carries a stale one.
+    code: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+
+# The bits of a node's byte in a control code. The result code is
+# _RESULT_CODE[result]; 0 is UNKNOWN, so a byte & RESULT_BITS is true
+# exactly when the node has a result.
+TICKED = 1
+RESULT_BITS = 6
+ANALYZING = 8
+_RESULT_CODE = {TickResult.UNKNOWN: 0, TickResult.SUCCESS: 2,
+                TickResult.FAILURE: 4, TickResult.RUNNING: 6}
+# Each field of a node, indexed by its byte.
+_TICKED_OF = tuple(bool(c & TICKED) for c in range(16))
+_RESULT_OF = tuple({code: r for r, code in _RESULT_CODE.items()}[c & RESULT_BITS]
+                   for c in range(16))
+_ANALYZING_OF = tuple(bool(c & ANALYZING) for c in range(16))
+# ROOT_REINITIALIZE clears ticks and results and keeps the analyzing flags.
+_REINITIALIZED = bytes(c & ANALYZING for c in range(256))
+# 1 for a ticked node, and for a ticked node still waiting for its result.
+_TICKED_MASK = bytes(c & TICKED for c in range(256))
+_WAITING_MASK = bytes(c & (TICKED | RESULT_BITS) == TICKED for c in range(256))
+
+
+def _encode_control(ticks: tuple, results: tuple, analyzing: tuple) -> bytes:
+    """The control code of three per-node vectors: one byte per node."""
+    return bytes([(TICKED if t else 0) | _RESULT_CODE[r] | (ANALYZING if a else 0)
+                  for t, r, a in zip(ticks, results, analyzing)])
+
+
+def _decode_control(code: bytes) -> tuple[tuple, tuple, tuple]:
+    """The (ticks, results, analyzing) vectors of a control code."""
+    if len(code) < 2:  # itemgetter needs an index, and returns a lone one bare
+        return (tuple(map(_TICKED_OF.__getitem__, code)),
+                tuple(map(_RESULT_OF.__getitem__, code)),
+                tuple(map(_ANALYZING_OF.__getitem__, code)))
+    get = itemgetter(*code)
+    return get(_TICKED_OF), get(_RESULT_OF), get(_ANALYZING_OF)
+
+
+def _with_code(state: MachineState, code: bytes) -> MachineState:
+    object.__setattr__(state, "code", code)
+    return state
 
 
 def initial_state(model: Model) -> MachineState:
     n = len(model.tree.node_order)
-    return MachineState(
+    return _with_code(MachineState(
         ticks=(False,) * n,
         results=(TickResult.UNKNOWN,) * n,
         analyzing=(False,) * n,
         env=model.env.initial_state(),
-    )
+    ), bytes(n))
 
 
 # An outcome event's guard: the predicate and the value it must have. Control
-# events need none; they depend on the per-node vectors alone.
+# events need none; they depend on the control code alone.
 Guard = tuple[Expr, bool]
 
 
-def _candidates(model: Model, ticks: tuple, results: tuple
-                ) -> list[tuple[Event, Guard | None]]:
-    """Events the per-node vectors allow, each with the environment guard it
+def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None]]:
+    """Events the control code allows, each with the environment guard it
     still needs (None for control events), in rule order.
 
     The ticked nodes still waiting for a result form one path down from the
     root, and only the last node on it can move, so every event belongs to
     that node. Only leaf outcomes read the environment, so this is
     everything about a state's enabled events that does not depend on the
-    valuation.
+    valuation. In breadth-first order the last node of that path is the
+    last waiting one, and a node's children are consecutive, so both scans
+    below are one bytes.rfind.
     """
     tree = model.tree
     idx = tree.node_index
-    node = tree.root
-    while True:
-        # Follow the last ticked child while it is still waiting for a result.
-        kids = tree.children[node]
-        pos = len(kids) - 1
-        while pos >= 0 and not ticks[idx[kids[pos]]]:
-            pos -= 1
-        if pos < 0 or results[idx[kids[pos]]] is not TickResult.UNKNOWN:
-            break
-        node = kids[pos]
-    i = idx[node]
+    bfs = model._breadth_first
+    view = code if bfs.gather is None else bytes(map(code.__getitem__, bfs.gather))
+    deepest = view.translate(_WAITING_MASK).rfind(1)
+    node = tree.root if deepest < 0 else bfs.nodes[deepest]
+    # The node's last ticked child, by position in kids, or -1.
+    kids = tree.children[node]
+    pos = -1
+    if kids:
+        first = bfs.position[kids[0]]
+        pos = view.translate(_TICKED_MASK).rfind(1, first, first + len(kids))
+        pos = pos - first if pos >= 0 else -1
+    own = code[idx[node]]
     ntype = tree.n_type[node]
 
     if ntype is NodeType.ROOT:
-        if not ticks[i]:
+        if not own & TICKED:
             return [(Event(EventKind.TICK_ROOT, node), None)]
-        if results[i] is not TickResult.UNKNOWN:
+        if own & RESULT_BITS:
             return [(Event(EventKind.ROOT_REINITIALIZE, node), None)]
         if pos < 0:
             return [(Event(EventKind.ROOT_TICKED, node, kids[0]), None)]
@@ -192,7 +266,7 @@ def _candidates(model: Model, ticks: tuple, results: tuple
     if pos < 0:
         kind = EventKind.SEQ_INITIAL if seq else EventKind.FB_INITIAL
         return [(Event(kind, node, kids[0]), None)]
-    last = results[idx[kids[pos]]]
+    last = _RESULT_OF[code[idx[kids[pos]]]]
     if last is TickResult.RUNNING:
         kind = EventKind.SEQ_RUNNING if seq else EventKind.FB_RUNNING
     elif last is not (TickResult.SUCCESS if seq else TickResult.FAILURE):
@@ -207,7 +281,10 @@ def _candidates(model: Model, ticks: tuple, results: tuple
 
 def _transitions(model: Model, state: MachineState) -> list:
     auto = model.automaton
-    return auto.transitions(auto.intern((state.ticks, state.results, state.analyzing)))
+    code = state.code
+    if code is None:
+        code = _encode_control(state.ticks, state.results, state.analyzing)
+    return auto.transitions(auto.intern(code))
 
 
 def enabled_events(model: Model, state: MachineState) -> list[Event]:
@@ -234,52 +311,77 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
     raise EventNotEnabledError(f"event not enabled: {e.describe()}")
 
 
-def _set(tup: tuple, i: int, value) -> tuple:
-    return tup[:i] + (value,) + tup[i + 1:]
-
-
-def _fire_control(model: Model, control: tuple[tuple, tuple, tuple], e: Event
-                  ) -> tuple[tuple, tuple, tuple]:
-    """The (ticks, results, analyzing) vectors after event `e`."""
-    ticks, results, analyzing = control
+def _fire_control(model: Model, code: bytes, e: Event) -> bytes:
+    """The control code after event `e`. Only ROOT_REINITIALIZE changes
+    more than the bytes of e's node, its child and its node's parent."""
+    k = e.kind
+    if k is EventKind.ROOT_REINITIALIZE:
+        return code.translate(_REINITIALIZED)
     tree = model.tree
     idx = tree.node_index
     i = idx[e.node]
-    k = e.kind
+    out = bytearray(code)
 
     if k is EventKind.TICK_ROOT:
-        return _set(ticks, i, True), results, analyzing
-
-    if k is EventKind.ROOT_TICKED:
-        ci = idx[e.child]
-        return _set(ticks, ci, True), results, _set(analyzing, ci, True)
-
-    if k is EventKind.RESULT_ARRIVED:
-        return ticks, _set(results, i, results[idx[e.child]]), analyzing
-
-    if k is EventKind.ROOT_REINITIALIZE:
-        n = len(tree.node_order)
-        return (False,) * n, (TickResult.UNKNOWN,) * n, analyzing
-
-    if k in (EventKind.FB_INITIAL, EventKind.SEQ_INITIAL,
-             EventKind.FB_CONTINUE, EventKind.SEQ_CONTINUE):
-        return _set(ticks, idx[e.child], True), results, _set(analyzing, i, True)
-
-    if k in (EventKind.FB_SUCCESS, EventKind.SEQ_SUCCESS):
-        result = TickResult.SUCCESS
-    elif k in (EventKind.FB_RUNNING, EventKind.SEQ_RUNNING):
-        result = TickResult.RUNNING
-    elif k in (EventKind.FB_FAILURE, EventKind.SEQ_FAILURE):
-        result = TickResult.FAILURE
-    elif k in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
-        result = e.outcome[0]
+        out[i] |= TICKED
+    elif k is EventKind.ROOT_TICKED:
+        out[idx[e.child]] |= TICKED | ANALYZING
+    elif k is EventKind.RESULT_ARRIVED:
+        out[i] = out[i] & ~RESULT_BITS | code[idx[e.child]] & RESULT_BITS
+    elif k in (EventKind.FB_INITIAL, EventKind.SEQ_INITIAL,
+               EventKind.FB_CONTINUE, EventKind.SEQ_CONTINUE):
+        out[idx[e.child]] |= TICKED
+        out[i] |= ANALYZING
     else:
-        raise AssertionError(f"unhandled event kind {k}")
-    # Record the node's result and clear the parent's analyzing flag.
-    parent = tree.parent.get(e.node)
-    if parent is not None:
-        analyzing = _set(analyzing, idx[parent], False)
-    return ticks, _set(results, i, result), analyzing
+        if k in (EventKind.FB_SUCCESS, EventKind.SEQ_SUCCESS):
+            result = TickResult.SUCCESS
+        elif k in (EventKind.FB_RUNNING, EventKind.SEQ_RUNNING):
+            result = TickResult.RUNNING
+        elif k in (EventKind.FB_FAILURE, EventKind.SEQ_FAILURE):
+            result = TickResult.FAILURE
+        elif k in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
+            result = e.outcome[0]
+        else:
+            raise AssertionError(f"unhandled event kind {k}")
+        # Record the node's result and clear the parent's analyzing flag.
+        out[i] = out[i] & ~RESULT_BITS | _RESULT_CODE[result]
+        parent = tree.parent.get(e.node)
+        if parent is not None:
+            out[idx[parent]] &= ~ANALYZING
+    return bytes(out)
+
+
+# The per-node fields of a counterexample's state delta, in key order:
+# label, the field's bits in a node's byte, and its JSON value by byte.
+_DELTA_FIELDS = (
+    ("n_tick", TICKED, _TICKED_OF),
+    ("n_result", RESULT_BITS, tuple(r.value for r in _RESULT_OF)),
+    ("analyzing_subtree", ANALYZING, _ANALYZING_OF),
+)
+
+
+def _control_delta(model: Model, event: Event, before: bytes, after: bytes) -> dict:
+    """The per-node fields `event` changed, from the control codes around it.
+
+    Only ROOT_REINITIALIZE changes bytes other than those of the event's
+    node, its child and its node's parent, so only it compares every node.
+    """
+    tree = model.tree
+    if event.kind is EventKind.ROOT_REINITIALIZE:
+        touched = range(len(before))
+    else:
+        idx = tree.node_index
+        nodes = {event.node, event.child, tree.parent.get(event.node)}
+        nodes.discard(None)
+        touched = sorted(idx[node] for node in nodes)
+    order = tree.node_order
+    delta: dict = {}
+    for label, bits, value_of in _DELTA_FIELDS:
+        changed = {order[i]: value_of[after[i]] for i in touched
+                   if (before[i] ^ after[i]) & bits}
+        if changed:
+            delta[label] = changed
+    return delta
 
 
 # --- the compiled transition system -------------------------------------------
@@ -327,38 +429,45 @@ class StatePacking:
 class _Automaton:
     """Control ids and their transition lists, built on first use.
 
+    A control id names one interned control code (a `bytes` object, so its
+    hash is cached and equality is a memcmp); `controls[cid]` is the code.
     A transition is (event, guard, effects, next control id, shift): `guard`
     maps the env values tuple to whether the event is enabled, `effects`
     maps it to the successor's values; either is None when the event has
     none. `shift` gives the successor's key: without effects it is
     key + shift, with effects it is shift + dot(new values, weights).
+
+    With `keep_vectors` (Model.automaton), decode keeps each control id's
+    decoded vectors for the states it decodes later; the search's own
+    automaton builds them afresh for each state it hands out.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Model, *, keep_vectors: bool = False):
         self.model = model
         self.packing = StatePacking(model.env)
-        self.ids: dict[tuple, int] = {}
-        self.controls: list[tuple] = []
+        self.ids: dict[bytes, int] = {}
+        self.controls: list[bytes] = []
         self.table: list[list | None] = []
         self._compiled: dict[Event, tuple] = {}
+        self._vectors: dict[int, tuple] | None = {} if keep_vectors else None
 
-    def intern(self, control: tuple) -> int:
-        cid = self.ids.get(control)
+    def intern(self, code: bytes) -> int:
+        cid = self.ids.get(code)
         if cid is None:
-            cid = self.ids[control] = len(self.controls)
-            self.controls.append(control)
+            cid = self.ids[code] = len(self.controls)
+            self.controls.append(code)
             self.table.append(None)
         return cid
 
     def transitions(self, cid: int) -> list:
         out = self.table[cid]
         if out is None:
-            model, control = self.model, self.controls[cid]
+            model, code = self.model, self.controls[cid]
             span, base = self.packing.span, self.packing.base
             out = []
-            for event, guard in _candidates(model, control[0], control[1]):
+            for event, guard in _candidates(model, code):
                 test, apply = self._compile(event, guard)
-                nxt = self.intern(_fire_control(model, control, event))
+                nxt = self.intern(_fire_control(model, code, event))
                 shift = (nxt - cid) * span if apply is None else nxt * span + base
                 out.append((event, test, apply, nxt, shift))
             self.table[cid] = out
@@ -384,9 +493,17 @@ class _Automaton:
         return compiled
 
     def decode(self, state: tuple) -> MachineState:
-        ticks, results, analyzing = self.controls[state[0]]
-        return MachineState(ticks, results, analyzing,
-                            EnvState(state[1:], self.model.env.slots))
+        """The MachineState of a (control id, *values) tuple."""
+        cid = state[0]
+        code = self.controls[cid]
+        cache = self._vectors
+        vectors = None if cache is None else cache.get(cid)
+        if vectors is None:
+            vectors = _decode_control(code)
+            if cache is not None:
+                cache[cid] = vectors
+        return _with_code(MachineState(*vectors, EnvState(state[1:], self.model.env.slots)),
+                          code)
 
     def event_between(self, state: tuple, successor: tuple) -> Event:
         """The first event, in rule order, leading from state to successor."""

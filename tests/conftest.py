@@ -3,24 +3,26 @@
 The tool evaluates every guard, effect and invariant with closures compiled
 once per model (btv.envmodel.compile_expr and friends), and steps every
 state, in the search, simulation and replay alike, through the compiled
-transition lists of btv.semantics._Automaton. eval_expr, eval_predicate and
-apply_effects here are a tree-walking evaluator of the same expressions,
-and enabled_events, apply_event and _fire step MachineState objects with it;
-the tests hold the tool's closures and event API to them. The enumeration
+transition lists of btv.semantics._Automaton, over control codes of one
+byte per node. eval_expr, eval_predicate and apply_effects here are a
+tree-walking evaluator of the same expressions, and enabled_events,
+apply_event and _fire step MachineState objects with it; the tests hold
+the tool's closures and event API to them. _candidates, _fire_control and
+_state_delta are the tool's earlier derivation of a state's events, next
+control vectors and counterexample deltas over (ticks, results, analyzing)
+tuples, kept as the oracles for their byte-code versions. The enumeration
 helpers below (naive_reachable, spec_explore, ...) walk only these copies,
-so they share no compiled closure with the tool and the checker has
-something independent to be compared against. They still derive a state's
-candidate events and next control vectors from semantics._candidates and
-_fire_control, which the tests hold to walk_candidates and reference_tick.
-walk_candidates and priority_key are the earlier every-node derivation of a
-state's events and the deterministic policy's old key, kept as the oracles
-for semantics._candidates and deterministic_policy. reference_tick is a
-deliberately separate implementation of a tick (plain recursion, no events),
-and cycle_outcomes collects every outcome of one cycle's interleavings; both
-cross-check the event machine. naive_exhaustiveness is the earlier
-per-valuation outcome exhaustiveness check, one compiled predicate call per
-guard and valuation, kept as the oracle for the column-wise
-check_outcome_exhaustiveness.
+so they share no compiled closure and no control code with the tool and
+the checker has something independent to be compared against.
+walk_candidates and priority_key are the still earlier every-node
+derivation of a state's events and the deterministic policy's old key,
+kept as the oracles for _candidates and deterministic_policy.
+reference_tick is a deliberately separate implementation of a tick (plain
+recursion, no events), and cycle_outcomes collects every outcome of one
+cycle's interleavings; both cross-check the event machine.
+naive_exhaustiveness is the earlier per-valuation outcome exhaustiveness
+check, one compiled predicate call per guard and valuation, kept as the
+oracle for the column-wise check_outcome_exhaustiveness.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ from btv.semantics import (
     Guard,
     MachineState,
     Model,
-    _candidates,
-    _fire_control,
     initial_state,
 )
 
@@ -176,6 +176,139 @@ def _event_effects(model: Model, e: Event) -> tuple[tuple[Assignment, ...], bool
     if e.kind is EventKind.ACT_OUTCOME:
         return model.behaviors[e.node].outcomes[e.outcome[1]].effects, False
     return (), False
+
+
+# --- the tuple-based control step that control codes replaced ---------------
+
+def _candidates(model: Model, ticks: tuple, results: tuple
+                ) -> list[tuple[Event, Guard | None]]:
+    """Events the per-node vectors allow, each with the environment guard it
+    still needs (None for control events), in rule order.
+
+    The ticked nodes still waiting for a result form one path down from the
+    root, and only the last node on it can move, so every event belongs to
+    that node. Only leaf outcomes read the environment, so this is
+    everything about a state's enabled events that does not depend on the
+    valuation.
+    """
+    tree = model.tree
+    idx = tree.node_index
+    node = tree.root
+    while True:
+        # Follow the last ticked child while it is still waiting for a result.
+        kids = tree.children[node]
+        pos = len(kids) - 1
+        while pos >= 0 and not ticks[idx[kids[pos]]]:
+            pos -= 1
+        if pos < 0 or results[idx[kids[pos]]] is not TickResult.UNKNOWN:
+            break
+        node = kids[pos]
+    i = idx[node]
+    ntype = tree.n_type[node]
+
+    if ntype is NodeType.ROOT:
+        if not ticks[i]:
+            return [(Event(EventKind.TICK_ROOT, node), None)]
+        if results[i] is not TickResult.UNKNOWN:
+            return [(Event(EventKind.ROOT_REINITIALIZE, node), None)]
+        if pos < 0:
+            return [(Event(EventKind.ROOT_TICKED, node, kids[0]), None)]
+        return [(Event(EventKind.RESULT_ARRIVED, node, kids[pos]), None)]
+
+    if ntype is NodeType.CONDITION:
+        pred = model.behaviors[node].success_when
+        return [(Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.SUCCESS, 0)),
+                 (pred, True)),
+                (Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.FAILURE, 1)),
+                 (pred, False))]
+
+    if ntype is NodeType.ACTION:
+        return [(Event(EventKind.ACT_OUTCOME, node, outcome=(outcome.result, rule_i)),
+                 (outcome.guard, True))
+                for rule_i, outcome in enumerate(model.behaviors[node].outcomes)]
+
+    # A sequence moves on to its next child after a SUCCESS, a fallback after
+    # a FAILURE; any other result of the last child is the node's own.
+    seq = ntype is NodeType.SEQUENCE
+    if pos < 0:
+        kind = EventKind.SEQ_INITIAL if seq else EventKind.FB_INITIAL
+        return [(Event(kind, node, kids[0]), None)]
+    last = results[idx[kids[pos]]]
+    if last is TickResult.RUNNING:
+        kind = EventKind.SEQ_RUNNING if seq else EventKind.FB_RUNNING
+    elif last is not (TickResult.SUCCESS if seq else TickResult.FAILURE):
+        kind = EventKind.SEQ_FAILURE if seq else EventKind.FB_SUCCESS
+    elif pos + 1 < len(kids):
+        kind = EventKind.SEQ_CONTINUE if seq else EventKind.FB_CONTINUE
+        return [(Event(kind, node, kids[pos + 1]), None)]
+    else:
+        kind = EventKind.SEQ_SUCCESS if seq else EventKind.FB_FAILURE
+    return [(Event(kind, node), None)]
+
+
+def _set(tup: tuple, i: int, value) -> tuple:
+    return tup[:i] + (value,) + tup[i + 1:]
+
+
+def _fire_control(model: Model, control: tuple[tuple, tuple, tuple], e: Event
+                  ) -> tuple[tuple, tuple, tuple]:
+    """The (ticks, results, analyzing) vectors after event `e`."""
+    ticks, results, analyzing = control
+    tree = model.tree
+    idx = tree.node_index
+    i = idx[e.node]
+    k = e.kind
+
+    if k is EventKind.TICK_ROOT:
+        return _set(ticks, i, True), results, analyzing
+
+    if k is EventKind.ROOT_TICKED:
+        ci = idx[e.child]
+        return _set(ticks, ci, True), results, _set(analyzing, ci, True)
+
+    if k is EventKind.RESULT_ARRIVED:
+        return ticks, _set(results, i, results[idx[e.child]]), analyzing
+
+    if k is EventKind.ROOT_REINITIALIZE:
+        n = len(tree.node_order)
+        return (False,) * n, (TickResult.UNKNOWN,) * n, analyzing
+
+    if k in (EventKind.FB_INITIAL, EventKind.SEQ_INITIAL,
+             EventKind.FB_CONTINUE, EventKind.SEQ_CONTINUE):
+        return _set(ticks, idx[e.child], True), results, _set(analyzing, i, True)
+
+    if k in (EventKind.FB_SUCCESS, EventKind.SEQ_SUCCESS):
+        result = TickResult.SUCCESS
+    elif k in (EventKind.FB_RUNNING, EventKind.SEQ_RUNNING):
+        result = TickResult.RUNNING
+    elif k in (EventKind.FB_FAILURE, EventKind.SEQ_FAILURE):
+        result = TickResult.FAILURE
+    elif k in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
+        result = e.outcome[0]
+    else:
+        raise AssertionError(f"unhandled event kind {k}")
+    # Record the node's result and clear the parent's analyzing flag.
+    parent = tree.parent.get(e.node)
+    if parent is not None:
+        analyzing = _set(analyzing, idx[parent], False)
+    return ticks, _set(results, i, result), analyzing
+
+
+def _state_delta(model: Model, before: MachineState, after: MachineState) -> dict:
+    order = model.tree.node_order
+    delta: dict = {}
+    for b_vec, a_vec, label in ((before.ticks, after.ticks, "n_tick"),
+                                (before.results, after.results, "n_result"),
+                                (before.analyzing, after.analyzing, "analyzing_subtree")):
+        if b_vec == a_vec:
+            continue
+        delta[label] = {node: a.value if isinstance(a, TickResult) else a
+                        for node, b, a in zip(order, b_vec, a_vec) if b != a}
+    env_changed = {name: after_v for (name, after_v), before_v
+                   in zip(after.env.items(), before.env.values) if after_v != before_v}
+    if env_changed:
+        delta["env"] = env_changed
+    return delta
 
 
 # --- enumerators over the tree-walking machine --------------------------------
@@ -334,27 +467,9 @@ def _spec_trace(model: Model, parents, target) -> list[TraceStep]:
     state = initial_state(model)
     for event in events:
         successor = apply_event(model, state, event)
-        steps.append(TraceStep(event, _spec_delta(model, state, successor)))
+        steps.append(TraceStep(event, _state_delta(model, state, successor)))
         state = successor
     return steps
-
-
-def _spec_delta(model: Model, before, after) -> dict:
-    delta = {}
-    for attr, label in (("ticks", "n_tick"), ("results", "n_result"),
-                        ("analyzing", "analyzing_subtree")):
-        changed = {}
-        for i, node in enumerate(model.tree.node_order):
-            b, a = getattr(before, attr)[i], getattr(after, attr)[i]
-            if b != a:
-                changed[node] = a.value if isinstance(a, TickResult) else a
-        if changed:
-            delta[label] = changed
-    env = {name: a for name, a in after.env.as_dict().items()
-           if a != before.env.get(name)}
-    if env:
-        delta["env"] = env
-    return delta
 
 
 # --- the every-node walk that semantics._candidates replaced -----------------

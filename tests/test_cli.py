@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import btv
+import btv.cli
 from btv import bundled_model_path, load_model
 from btv.checker import explore, replay, load_trace_file
 from btv.cli import main
@@ -17,6 +18,9 @@ from btv.frontend import MAX_TREE_DEPTH
 
 ROBOT_WALL = str(bundled_model_path("robot_wall.bt"))
 BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
+# `btv check robot_wall_buggy.bt --output json` without stats.wall_time_s.
+# CI diffs the installed entry point's output against the same file.
+GOLDEN_BUGGY_VERDICT = Path(__file__).parent / "golden" / "robot_wall_buggy.check.json"
 
 
 def run(capsys, *argv):
@@ -107,6 +111,28 @@ def test_check_trace_out_replays(capsys, tmp_path):
     model = load_model(BUGGY)
     final = replay(model, events, trace_sha256=sha)
     assert final.env.get("distance_to_object") == 2
+
+
+def test_check_json_matches_the_golden_verdict(capsys):
+    code, out, _ = run(capsys, "check", BUGGY, "--output", "json")
+    assert code == 1
+    payload = json.loads(out)
+    del payload["stats"]["wall_time_s"]
+    assert json.dumps(payload, indent=2) + "\n" == \
+        GOLDEN_BUGGY_VERDICT.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_unwritable_trace_out_fails_before_loading(capsys, monkeypatch, tmp_path, command):
+    def no_load(path):
+        raise AssertionError("model loaded before --trace-out was opened")
+
+    monkeypatch.setattr(btv.cli, "load_model", no_load)
+    code, out, err = run(capsys, command, BUGGY,
+                         "--trace-out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
 
 
 def test_simulate_robot_wall(capsys):

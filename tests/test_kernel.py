@@ -5,14 +5,19 @@ conftest walks MachineState objects with conftest's tree-walking
 enabled_events/apply_event. Their verdicts, counterexamples and state
 deltas must agree exactly, and so must btv.semantics' enabled_events and
 apply_event, which step through the same compiled transition lists as
-explore, and conftest's copies, in every reachable state. The events
-of each control id, derived from its one active node, must equal those of
-conftest's every-node walk. Visited states are stored as exact packed ints,
-which must unpack to the same control id and values.
+explore, and conftest's copies, in every reachable state. Control ids name
+control codes of one byte per node; the events and successor codes derived
+from them must decode to what conftest's tuple-based _candidates and
+_fire_control give, and the events must equal those of conftest's
+every-node walk. Visited states are stored as exact packed ints, which must
+unpack to the same control id and values.
 """
 
+import contextlib
 import dataclasses
+import functools
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -31,19 +36,29 @@ from btv.checker import (
     step_from_json,
     verdict_to_json,
 )
-from btv.core import ModelError
+from btv.core import ModelError, TickResult, TreeSpec
 from btv.envmodel import (
     BinOp,
     DomainViolationError,
     EnvSpec,
+    EnvState,
     IntLit,
     VarDecl,
     VarRef,
 )
 from btv.frontend import elaborate, parse
-from btv.semantics import _candidates, deterministic_policy
+from btv.semantics import (
+    MachineState,
+    _candidates,
+    _decode_control,
+    _encode_control,
+    _fire_control,
+    deterministic_policy,
+    initial_state,
+)
 import btv.semantics
 
+import conftest
 from conftest import (
     apply_event,
     enabled_events,
@@ -158,21 +173,78 @@ def deeper_random_models():
             yield name, elaborate(parse(random_model_source(seed, params)))
 
 
-def test_candidates_match_every_node_walk(monkeypatch):
+@contextlib.contextmanager
+def recorded_interns():
+    """A set that collects every control code _Automaton.intern is given."""
     interned = set()
     intern = _Automaton.intern
 
-    def recording_intern(self, control):
-        interned.add(control)
-        return intern(self, control)
+    def recording_intern(self, code):
+        interned.add(code)
+        return intern(self, code)
 
-    monkeypatch.setattr(_Automaton, "intern", recording_intern)
-    for name, model in (*corpus(), *deeper_random_models()):
-        interned.clear()
-        explore(model)
-        for ticks, results, _ in interned:
-            assert _candidates(model, ticks, results) == \
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Automaton, "intern", recording_intern)
+        yield interned
+
+
+@functools.cache
+def interned_controls() -> list:
+    """(name, model, the control codes explore interned) for the corpus and
+    the deeper random models."""
+    out = []
+    with recorded_interns() as interned:
+        for name, model in (*corpus(), *deeper_random_models()):
+            interned.clear()
+            explore(model)
+            out.append((name, model, frozenset(interned)))
+    return out
+
+
+def test_candidates_match_every_node_walk():
+    for name, model, codes in interned_controls():
+        for code in codes:
+            ticks, results, _ = _decode_control(code)
+            assert _candidates(model, code) == \
                 walk_candidates(model, ticks, results), name
+
+
+def test_control_codes_step_like_the_tuple_oracles():
+    for name, model, codes in interned_controls():
+        for code in codes:
+            control = _decode_control(code)
+            assert _encode_control(*control) == code, name
+            candidates = _candidates(model, code)
+            assert candidates == conftest._candidates(model, *control[:2]), name
+            for event, _ in candidates:
+                assert _decode_control(_fire_control(model, code, event)) == \
+                    conftest._fire_control(model, control, event), name
+
+
+def with_shuffled_ids(model, seed: int):
+    """The model with its n_ids permuted: siblings may swap places and the
+    ids are no longer breadth-first (ID_BFS_WARN)."""
+    tree = model.tree
+    ids = list(range(len(tree.node_order)))
+    random.Random(seed).shuffle(ids)
+    shuffled = TreeSpec.build(tree.n_type, dict(zip(tree.node_order, ids)), tree.parent)
+    return dataclasses.replace(model, tree=shuffled)
+
+
+def test_trees_without_breadth_first_ids():
+    unordered = 0
+    for deterministic in (True, False):
+        params = GenParams(max_nodes=25, max_depth=6, deterministic=deterministic)
+        for seed in range(60):
+            model = with_shuffled_ids(elaborate(parse(random_model_source(seed, params))), seed)
+            unordered += model._breadth_first.gather is not None
+            with recorded_interns() as interned:
+                verdict = explore(model)
+            assert comparable(verdict, model) == comparable(spec_explore(model), model), seed
+            for code in interned:
+                ticks, results, _ = _decode_control(code)
+                assert _candidates(model, code) == walk_candidates(model, ticks, results), seed
+    assert unordered > 60
 
 
 def test_deterministic_policy_matches_priority_key():
@@ -189,10 +261,19 @@ def test_deterministic_policy_matches_priority_key():
 def test_every_counterexample_replays_through_the_trace_file(tmp_path):
     path = tmp_path / "trace.json"
     replayed = set()
+    # (event kind, whether the step changed the environment) over every step.
+    step_kinds = set()
     for name, model in corpus():
         verdict = explore(model)
         if verdict.status is Status.HOLDS:
             continue
+        # Each step's delta is the full-vector oracle's along the same path.
+        state = initial_state(model)
+        for step in verdict.counterexample:
+            successor = apply_event(model, state, step.event)
+            assert step.state_delta == conftest._state_delta(model, state, successor), name
+            step_kinds.add((step.event.kind.value, "env" in step.state_delta))
+            state = successor
         path.write_text(json.dumps(verdict_to_json(verdict, model)))
         events, sha256 = load_trace_file(path)
         state = replay(model, events, trace_sha256=sha256)
@@ -210,6 +291,8 @@ def test_every_counterexample_replays_through_the_trace_file(tmp_path):
                 outcome(apply_event, model, state, event), name
         replayed.add(verdict.status)
     assert replayed == {Status.VIOLATED, Status.DEADLOCK, Status.DOMAIN_VIOLATION}
+    # ROOT_REINITIALIZE changes every node; RESULT_ARRIVED runs a root-result hook.
+    assert {("ROOT_REINITIALIZE", False), ("RESULT_ARRIVED", True)} <= step_kinds
 
 
 # --- the packed-int state store ---------------------------------------------------
@@ -265,6 +348,71 @@ def test_packing_is_an_exact_bijection(case):
         keys = {packing.pack(cid, values) for cid in range(3)
                 for values in spec.valuations(spec.slots)}
         assert keys == set(range(3 * packing.span))
+
+
+# --- control codes -----------------------------------------------------------
+
+node_fields = st.tuples(st.booleans(), st.sampled_from(TickResult), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(node_fields, max_size=60))
+def test_control_code_round_trips(nodes):
+    control = tuple(map(tuple, zip(*nodes))) or ((), (), ())
+    code = _encode_control(*control)
+    assert len(code) == len(nodes)
+    assert _decode_control(code) == control
+    assert all(type(flag) is bool for flag in control[0] + control[2])
+
+
+def test_every_node_code_round_trips():
+    code = bytes(range(16))
+    ticks, results, analyzing = _decode_control(code)
+    assert _encode_control(ticks, results, analyzing) == code
+    # Bit 0 ticked, bits 1-2 the result, bit 3 analyzing; 16 distinct nodes.
+    assert ticks == tuple(bool(c & 1) for c in code)
+    assert analyzing == tuple(bool(c & 8) for c in code)
+    assert all(results[c] is results[c & 6] for c in code)
+    assert results[0] is TickResult.UNKNOWN
+    assert set(results[0:8:2]) == set(TickResult)
+
+
+@st.composite
+def explored_states(draw):
+    """A random model and a few of the states explore hands to on_state."""
+    seed = draw(st.integers(0, 10**6))
+    params = GenParams(max_nodes=draw(st.integers(2, 30)), max_depth=6,
+                       deterministic=draw(st.booleans()))
+    model = elaborate(parse(random_model_source(seed, params)))
+    seen = []
+    explore(model, ExploreOptions(max_states=2000), on_state=seen.append)
+    picks = draw(st.lists(st.integers(0, len(seen) - 1), min_size=1, max_size=8))
+    return model, [seen[i] for i in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(explored_states())
+def test_decoded_state_steps_like_a_hand_built_one(case):
+    model, states = case
+    for state in states:
+        assert state.code is not None
+        hand = MachineState(state.ticks, state.results, state.analyzing,
+                            EnvState(state.env.values, model.env.slots))
+        assert hand.code is None
+        assert hand == state and hash(hand) == hash(state)
+        events = btv.semantics.enabled_events(model, state)
+        assert btv.semantics.enabled_events(model, hand) == events
+        for event in events:
+            assert outcome(btv.semantics.apply_event, model, hand, event) == \
+                outcome(btv.semantics.apply_event, model, state, event)
+
+
+@settings(max_examples=60, deadline=None)
+@given(explored_states())
+def test_on_state_states_give_the_oracles_enabled_events(case):
+    model, states = case
+    for state in states:
+        assert btv.semantics.enabled_events(model, state) == enabled_events(model, state)
 
 
 # About 14k states over four integer variables (one with a negative lower
