@@ -11,9 +11,10 @@ control ids name distinct control codes (one byte per node: ticked, result
 and analyzing); it builds its own rather than Model.automaton, so that the
 control table is freed with the search. Every discovered state is stored
 as one exact mixed-radix int of its control id and values (see
-StatePacking), mapped to its parent's int; values tuples live only on the
-frontier, where guards and effects read them. States are decoded to
-MachineState only for on_state. A counterexample's keys are unpacked, and
+btv.semantics.StatePacking), mapped to its parent's int; values tuples
+live only on the frontier, where guards and effects read them. on_state
+gets each state as a MachineState, its interned control code and an
+EnvState of its values. A counterexample's keys are unpacked, and
 each step's state delta is read from the control codes of the nodes its
 event touched (all nodes only for ROOT_REINITIALIZE) and from the values.
 replay applies a trace through the same compiled guards and effects, so it
@@ -30,14 +31,12 @@ from operator import mul
 
 from .core import TickResult
 from .envmodel import DomainViolationError, EnvState, check_invariants
-# StatePacking is re-exported for `from btv.checker import StatePacking`.
 from .semantics import (
     Event,
     EventKind,
     EventNotEnabledError,
     MachineState,
     Model,
-    StatePacking,
     _Automaton,
     _control_delta,
     apply_event,

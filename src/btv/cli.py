@@ -171,18 +171,26 @@ def _open_trace_out(path: str | None):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
+def _write_json(payload: dict, output: str, trace_out) -> None:
+    """Render `payload` once; write it to the --trace-out file if one is open,
+    and print it for --output json."""
+    if not trace_out and output != "json":
+        return
+    text = json.dumps(payload, indent=2)
+    if trace_out:
+        trace_out.write(text)
+    if output == "json":
+        print(text)
+
+
 def cmd_check(args) -> int:
     with _open_trace_out(args.trace_out) as trace_out:
         model = load_model(args.model)
         _print_warnings(model.warnings)
         options = ExploreOptions(max_states=args.max_states, max_depth=args.max_depth)
         verdict = explore(model, options)
-        payload = verdict_to_json(verdict, model)
-        if trace_out:
-            json.dump(payload, trace_out, indent=2)
-    if args.output == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+        _write_json(verdict_to_json(verdict, model), args.output, trace_out)
+    if args.output == "text":
         _print_verdict_text(verdict, model)
     if verdict.status is Status.BOUND_EXCEEDED and verdict.detail == INTERRUPTED:
         return EXIT_INTERRUPTED
@@ -231,10 +239,7 @@ def _simulate(args, trace_out) -> int:
         "trace": [step_to_json(s) for s in all_steps],
         "model_sha256": model.source_sha256,
     }
-    if args.output == "json":
-        print(json.dumps(payload, indent=2))
-    if trace_out:
-        json.dump(payload, trace_out, indent=2)
+    _write_json(payload, args.output, trace_out)
     return EXIT_VIOLATED if failed else EXIT_OK
 
 

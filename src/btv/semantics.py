@@ -11,17 +11,18 @@ A tick cycle runs from an all-unticked state until ROOT_REINITIALIZE fires;
 the root result of the cycle is the one copied up by RESULT_ARRIVED, which
 also runs the model's root-result hook (e.g. timestep bookkeeping).
 
-Inside the tool the per-node part of a state is its control code: one
-`bytes` object with one byte per node in tree.node_order, bit 0 ticked,
-bits 1-2 the result and bit 3 analyzing (see _encode_control). An event
-edits one or two of those bytes, ROOT_REINITIALIZE is one bytes.translate,
-and the public (ticks, results, analyzing) tuples of MachineState are
-built from a code only at the boundary.
+The per-node part of a state is its control code: one `bytes` object with
+one byte per node in tree.node_order, bit 0 ticked, bits 1-2 the result
+and bit 3 analyzing. A MachineState is (control code, env); its (ticks,
+results, analyzing) tuples are decoded from the code when read. An event
+edits one or two of those bytes, and ROOT_REINITIALIZE is one
+bytes.translate.
 
 Only leaf outcomes read the environment, so a state's control code fixes
-its candidate events and where each leads. _Automaton interns the codes as
-control ids and builds each one's transition list once, with guards and
-effects compiled to closures over the env values tuple; the search,
+its candidate events and the control code each leads to; _candidates
+states both, once per event. _Automaton interns the codes as control ids
+and builds each one's transition list once, with guards and effects
+compiled to closures over the env values tuple; the search,
 enabled_events, apply_event, tick_cycle and replay all step through it.
 """
 
@@ -118,7 +119,7 @@ class Model:
     @cached_property
     def automaton(self) -> "_Automaton":
         """The transition lists enabled_events and apply_event step through."""
-        return _Automaton(self, keep_vectors=True)
+        return _Automaton(self)
 
     @cached_property
     def _breadth_first(self) -> "_BreadthFirst":
@@ -142,17 +143,23 @@ class _BreadthFirst(NamedTuple):
 
 @dataclass(frozen=True)
 class MachineState:
-    """Per-node dynamic state plus environment, aligned with tree.node_order."""
+    """The control code, one byte per node in tree.node_order, plus the
+    environment. ticks, results and analyzing are decoded from the code."""
 
-    ticks: tuple[bool, ...]
-    results: tuple[TickResult, ...]
-    analyzing: tuple[bool, ...]
+    code: bytes
     env: EnvState
-    # The control code of (ticks, results, analyzing) when the state came
-    # from the tool (initial_state, apply_event, on_state), so that stepping
-    # on does not encode it again. Not an __init__ argument, so a state
-    # built or replaced by hand never carries a stale one.
-    code: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def ticks(self) -> tuple[bool, ...]:
+        return _decode_control(self.code)[0]
+
+    @property
+    def results(self) -> tuple[TickResult, ...]:
+        return _decode_control(self.code)[1]
+
+    @property
+    def analyzing(self) -> tuple[bool, ...]:
+        return _decode_control(self.code)[2]
 
 
 # The bits of a node's byte in a control code. The result code is
@@ -175,12 +182,6 @@ _TICKED_MASK = bytes(c & TICKED for c in range(256))
 _WAITING_MASK = bytes(c & (TICKED | RESULT_BITS) == TICKED for c in range(256))
 
 
-def _encode_control(ticks: tuple, results: tuple, analyzing: tuple) -> bytes:
-    """The control code of three per-node vectors: one byte per node."""
-    return bytes([(TICKED if t else 0) | _RESULT_CODE[r] | (ANALYZING if a else 0)
-                  for t, r, a in zip(ticks, results, analyzing)])
-
-
 def _decode_control(code: bytes) -> tuple[tuple, tuple, tuple]:
     """The (ticks, results, analyzing) vectors of a control code."""
     if len(code) < 2:  # itemgetter needs an index, and returns a lone one bare
@@ -191,19 +192,8 @@ def _decode_control(code: bytes) -> tuple[tuple, tuple, tuple]:
     return get(_TICKED_OF), get(_RESULT_OF), get(_ANALYZING_OF)
 
 
-def _with_code(state: MachineState, code: bytes) -> MachineState:
-    object.__setattr__(state, "code", code)
-    return state
-
-
 def initial_state(model: Model) -> MachineState:
-    n = len(model.tree.node_order)
-    return _with_code(MachineState(
-        ticks=(False,) * n,
-        results=(TickResult.UNKNOWN,) * n,
-        analyzing=(False,) * n,
-        env=model.env.initial_state(),
-    ), bytes(n))
+    return MachineState(bytes(len(model.tree.node_order)), model.env.initial_state())
 
 
 # An outcome event's guard: the predicate and the value it must have. Control
@@ -211,9 +201,19 @@ def initial_state(model: Model) -> MachineState:
 Guard = tuple[Expr, bool]
 
 
-def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None]]:
+def _edit(code: bytes, *edits: tuple[int, int, int]) -> bytes:
+    """`code` with, for each (i, clear, bits), byte i's `clear` bits cleared
+    and its `bits` set."""
+    out = bytearray(code)
+    for i, clear, bits in edits:
+        out[i] = out[i] & ~clear | bits
+    return bytes(out)
+
+
+def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None, bytes]]:
     """Events the control code allows, each with the environment guard it
-    still needs (None for control events), in rule order.
+    still needs (None for control events) and the control code it leads
+    to, in rule order.
 
     The ticked nodes still waiting for a result form one path down from the
     root, and only the last node on it can move, so every event belongs to
@@ -236,28 +236,43 @@ def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None]]:
         first = bfs.position[kids[0]]
         pos = view.translate(_TICKED_MASK).rfind(1, first, first + len(kids))
         pos = pos - first if pos >= 0 else -1
-    own = code[idx[node]]
+    i = idx[node]
+    own = code[i]
     ntype = tree.n_type[node]
 
     if ntype is NodeType.ROOT:
         if not own & TICKED:
-            return [(Event(EventKind.TICK_ROOT, node), None)]
+            return [(Event(EventKind.TICK_ROOT, node), None, _edit(code, (i, 0, TICKED)))]
         if own & RESULT_BITS:
-            return [(Event(EventKind.ROOT_REINITIALIZE, node), None)]
+            return [(Event(EventKind.ROOT_REINITIALIZE, node), None,
+                     code.translate(_REINITIALIZED))]
         if pos < 0:
-            return [(Event(EventKind.ROOT_TICKED, node, kids[0]), None)]
-        return [(Event(EventKind.RESULT_ARRIVED, node, kids[pos]), None)]
+            return [(Event(EventKind.ROOT_TICKED, node, kids[0]), None,
+                     _edit(code, (idx[kids[0]], 0, TICKED | ANALYZING)))]
+        child = idx[kids[pos]]
+        return [(Event(EventKind.RESULT_ARRIVED, node, kids[pos]), None,
+                 _edit(code, (i, RESULT_BITS, code[child] & RESULT_BITS)))]
+
+    # Any other node either records its result and clears its parent's
+    # analyzing flag, or ticks a child and becomes analyzing.
+    parent = idx[tree.parent[node]]
+
+    def resolve(result: TickResult) -> bytes:
+        return _edit(code, (i, RESULT_BITS, _RESULT_CODE[result]), (parent, ANALYZING, 0))
+
+    def tick(child: str) -> bytes:
+        return _edit(code, (idx[child], 0, TICKED), (i, 0, ANALYZING))
 
     if ntype is NodeType.CONDITION:
         pred = model.behaviors[node].success_when
         return [(Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.SUCCESS, 0)),
-                 (pred, True)),
+                 (pred, True), resolve(TickResult.SUCCESS)),
                 (Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.FAILURE, 1)),
-                 (pred, False))]
+                 (pred, False), resolve(TickResult.FAILURE))]
 
     if ntype is NodeType.ACTION:
         return [(Event(EventKind.ACT_OUTCOME, node, outcome=(outcome.result, rule_i)),
-                 (outcome.guard, True))
+                 (outcome.guard, True), resolve(outcome.result))
                 for rule_i, outcome in enumerate(model.behaviors[node].outcomes)]
 
     # A sequence moves on to its next child after a SUCCESS, a fallback after
@@ -265,7 +280,7 @@ def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None]]:
     seq = ntype is NodeType.SEQUENCE
     if pos < 0:
         kind = EventKind.SEQ_INITIAL if seq else EventKind.FB_INITIAL
-        return [(Event(kind, node, kids[0]), None)]
+        return [(Event(kind, node, kids[0]), None, tick(kids[0]))]
     last = _RESULT_OF[code[idx[kids[pos]]]]
     if last is TickResult.RUNNING:
         kind = EventKind.SEQ_RUNNING if seq else EventKind.FB_RUNNING
@@ -273,18 +288,15 @@ def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None]]:
         kind = EventKind.SEQ_FAILURE if seq else EventKind.FB_SUCCESS
     elif pos + 1 < len(kids):
         kind = EventKind.SEQ_CONTINUE if seq else EventKind.FB_CONTINUE
-        return [(Event(kind, node, kids[pos + 1]), None)]
+        return [(Event(kind, node, kids[pos + 1]), None, tick(kids[pos + 1]))]
     else:
         kind = EventKind.SEQ_SUCCESS if seq else EventKind.FB_FAILURE
-    return [(Event(kind, node), None)]
+    return [(Event(kind, node), None, resolve(last))]
 
 
 def _transitions(model: Model, state: MachineState) -> list:
     auto = model.automaton
-    code = state.code
-    if code is None:
-        code = _encode_control(state.ticks, state.results, state.analyzing)
-    return auto.transitions(auto.intern(code))
+    return auto.transitions(auto.intern(state.code))
 
 
 def enabled_events(model: Model, state: MachineState) -> list[Event]:
@@ -309,46 +321,6 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
         if event == e and (test is None or test(values)):
             return model.automaton.decode((nxt, *(values if apply is None else apply(values))))
     raise EventNotEnabledError(f"event not enabled: {e.describe()}")
-
-
-def _fire_control(model: Model, code: bytes, e: Event) -> bytes:
-    """The control code after event `e`. Only ROOT_REINITIALIZE changes
-    more than the bytes of e's node, its child and its node's parent."""
-    k = e.kind
-    if k is EventKind.ROOT_REINITIALIZE:
-        return code.translate(_REINITIALIZED)
-    tree = model.tree
-    idx = tree.node_index
-    i = idx[e.node]
-    out = bytearray(code)
-
-    if k is EventKind.TICK_ROOT:
-        out[i] |= TICKED
-    elif k is EventKind.ROOT_TICKED:
-        out[idx[e.child]] |= TICKED | ANALYZING
-    elif k is EventKind.RESULT_ARRIVED:
-        out[i] = out[i] & ~RESULT_BITS | code[idx[e.child]] & RESULT_BITS
-    elif k in (EventKind.FB_INITIAL, EventKind.SEQ_INITIAL,
-               EventKind.FB_CONTINUE, EventKind.SEQ_CONTINUE):
-        out[idx[e.child]] |= TICKED
-        out[i] |= ANALYZING
-    else:
-        if k in (EventKind.FB_SUCCESS, EventKind.SEQ_SUCCESS):
-            result = TickResult.SUCCESS
-        elif k in (EventKind.FB_RUNNING, EventKind.SEQ_RUNNING):
-            result = TickResult.RUNNING
-        elif k in (EventKind.FB_FAILURE, EventKind.SEQ_FAILURE):
-            result = TickResult.FAILURE
-        elif k in (EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME):
-            result = e.outcome[0]
-        else:
-            raise AssertionError(f"unhandled event kind {k}")
-        # Record the node's result and clear the parent's analyzing flag.
-        out[i] = out[i] & ~RESULT_BITS | _RESULT_CODE[result]
-        parent = tree.parent.get(e.node)
-        if parent is not None:
-            out[idx[parent]] &= ~ANALYZING
-    return bytes(out)
 
 
 # The per-node fields of a counterexample's state delta, in key order:
@@ -436,20 +408,15 @@ class _Automaton:
     maps it to the successor's values; either is None when the event has
     none. `shift` gives the successor's key: without effects it is
     key + shift, with effects it is shift + dot(new values, weights).
-
-    With `keep_vectors` (Model.automaton), decode keeps each control id's
-    decoded vectors for the states it decodes later; the search's own
-    automaton builds them afresh for each state it hands out.
     """
 
-    def __init__(self, model: Model, *, keep_vectors: bool = False):
+    def __init__(self, model: Model):
         self.model = model
         self.packing = StatePacking(model.env)
         self.ids: dict[bytes, int] = {}
         self.controls: list[bytes] = []
         self.table: list[list | None] = []
         self._compiled: dict[Event, tuple] = {}
-        self._vectors: dict[int, tuple] | None = {} if keep_vectors else None
 
     def intern(self, code: bytes) -> int:
         cid = self.ids.get(code)
@@ -465,9 +432,9 @@ class _Automaton:
             model, code = self.model, self.controls[cid]
             span, base = self.packing.span, self.packing.base
             out = []
-            for event, guard in _candidates(model, code):
+            for event, guard, successor in _candidates(model, code):
                 test, apply = self._compile(event, guard)
-                nxt = self.intern(_fire_control(model, code, event))
+                nxt = self.intern(successor)
                 shift = (nxt - cid) * span if apply is None else nxt * span + base
                 out.append((event, test, apply, nxt, shift))
             self.table[cid] = out
@@ -494,16 +461,7 @@ class _Automaton:
 
     def decode(self, state: tuple) -> MachineState:
         """The MachineState of a (control id, *values) tuple."""
-        cid = state[0]
-        code = self.controls[cid]
-        cache = self._vectors
-        vectors = None if cache is None else cache.get(cid)
-        if vectors is None:
-            vectors = _decode_control(code)
-            if cache is not None:
-                cache[cid] = vectors
-        return _with_code(MachineState(*vectors, EnvState(state[1:], self.model.env.slots)),
-                          code)
+        return MachineState(self.controls[state[0]], EnvState(state[1:], self.model.env.slots))
 
     def event_between(self, state: tuple, successor: tuple) -> Event:
         """The first event, in rule order, leading from state to successor."""

@@ -10,10 +10,12 @@ apply_event and _fire step MachineState objects with it; the tests hold
 the tool's closures and event API to them. _candidates, _fire_control and
 _state_delta are the tool's earlier derivation of a state's events, next
 control vectors and counterexample deltas over (ticks, results, analyzing)
-tuples, kept as the oracles for their byte-code versions. The enumeration
-helpers below (naive_reachable, spec_explore, ...) walk only these copies,
-so they share no compiled closure and no control code with the tool and
-the checker has something independent to be compared against.
+tuples, kept as the oracles for their byte-code versions; _encode_control
+packs such vectors into the control code a MachineState holds. The
+enumeration helpers below (naive_reachable, spec_explore, ...) walk only
+these copies, so they share no compiled closure and no step over control
+codes with the tool, and the checker has something independent to be
+compared against.
 walk_candidates and priority_key are the still earlier every-node
 derivation of a state's events and the deterministic policy's old key,
 kept as the oracles for _candidates and deterministic_policy.
@@ -55,6 +57,9 @@ from btv.envmodel import (
     expr_variables,
 )
 from btv.semantics import (
+    ANALYZING,
+    TICKED,
+    _RESULT_CODE,
     Event,
     EventKind,
     EventNotEnabledError,
@@ -166,7 +171,7 @@ def _fire(model: Model, state: MachineState, e: Event) -> MachineState:
     control = _fire_control(model, (state.ticks, state.results, state.analyzing), e)
     effects, wrap = _event_effects(model, e)
     env = apply_effects(model.env, effects, state.env, wrap=wrap) if effects else state.env
-    return MachineState(*control, env=env)
+    return MachineState(_encode_control(*control), env)
 
 
 def _event_effects(model: Model, e: Event) -> tuple[tuple[Assignment, ...], bool]:
@@ -244,6 +249,12 @@ def _candidates(model: Model, ticks: tuple, results: tuple
     else:
         kind = EventKind.SEQ_SUCCESS if seq else EventKind.FB_FAILURE
     return [(Event(kind, node), None)]
+
+
+def _encode_control(ticks: tuple, results: tuple, analyzing: tuple) -> bytes:
+    """The control code of three per-node vectors: one byte per node."""
+    return bytes([(TICKED if t else 0) | _RESULT_CODE[r] | (ANALYZING if a else 0)
+                  for t, r, a in zip(ticks, results, analyzing)])
 
 
 def _set(tup: tuple, i: int, value) -> tuple:

@@ -105,12 +105,17 @@ def test_check_bound_exceeded(capsys):
 
 def test_check_trace_out_replays(capsys, tmp_path):
     trace_path = tmp_path / "cx.json"
-    code, _, _ = run(capsys, "check", BUGGY, "--trace-out", str(trace_path))
-    assert code == 1
-    events, sha = load_trace_file(trace_path)
     model = load_model(BUGGY)
-    final = replay(model, events, trace_sha256=sha)
-    assert final.env.get("distance_to_object") == 2
+    for output in ("text", "json"):
+        code, out, _ = run(capsys, "check", BUGGY, "--output", output,
+                           "--trace-out", str(trace_path))
+        assert code == 1
+        if output == "json":
+            # The verdict is rendered once, for the file and for stdout.
+            assert out == trace_path.read_text(encoding="utf-8") + "\n"
+        events, sha = load_trace_file(trace_path)
+        final = replay(model, events, trace_sha256=sha)
+        assert final.env.get("distance_to_object") == 2
 
 
 def test_check_json_matches_the_golden_verdict(capsys):
@@ -168,13 +173,16 @@ def test_simulate_random_policy_reproducible(capsys):
 
 def test_simulate_trace_out_replays(capsys, tmp_path):
     trace_path = tmp_path / "sim.json"
-    code, _, _ = run(capsys, "simulate", ROBOT_WALL, "--ticks", "3",
-                     "--trace-out", str(trace_path))
-    assert code == 0
-    events, sha = load_trace_file(trace_path)
     model = load_model(ROBOT_WALL)
-    final = replay(model, events, trace_sha256=sha)
-    assert final.env.get("time") == 3
+    for output in ("text", "json"):
+        code, out, _ = run(capsys, "simulate", ROBOT_WALL, "--ticks", "3",
+                           "--output", output, "--trace-out", str(trace_path))
+        assert code == 0
+        if output == "json":
+            assert out == trace_path.read_text(encoding="utf-8") + "\n"
+        events, sha = load_trace_file(trace_path)
+        final = replay(model, events, trace_sha256=sha)
+        assert final.env.get("time") == 3
 
 
 def test_simulate_json_output(capsys):

@@ -5,12 +5,13 @@ conftest walks MachineState objects with conftest's tree-walking
 enabled_events/apply_event. Their verdicts, counterexamples and state
 deltas must agree exactly, and so must btv.semantics' enabled_events and
 apply_event, which step through the same compiled transition lists as
-explore, and conftest's copies, in every reachable state. Control ids name
-control codes of one byte per node; the events and successor codes derived
-from them must decode to what conftest's tuple-based _candidates and
-_fire_control give, and the events must equal those of conftest's
-every-node walk. Visited states are stored as exact packed ints, which must
-unpack to the same control id and values.
+explore, and conftest's copies, in every reachable state. A MachineState
+is (control code, env), with one byte per node; the events and successor
+codes _candidates derives from a code must be what conftest's tuple-based
+_candidates and _fire_control give, encoded by conftest's _encode_control,
+and the events must equal those of conftest's every-node walk. Visited
+states are stored as exact packed ints, which must unpack to the same
+control id and values.
 """
 
 import contextlib
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from btv import bundled_model_path, load_model
 from btv.checker import (
     ExploreOptions,
-    StatePacking,
     Status,
     _Automaton,
     explore,
@@ -49,10 +49,9 @@ from btv.envmodel import (
 from btv.frontend import elaborate, parse
 from btv.semantics import (
     MachineState,
+    StatePacking,
     _candidates,
     _decode_control,
-    _encode_control,
-    _fire_control,
     deterministic_policy,
     initial_state,
 )
@@ -60,6 +59,7 @@ import btv.semantics
 
 import conftest
 from conftest import (
+    _encode_control,
     apply_event,
     enabled_events,
     eval_predicate,
@@ -154,6 +154,8 @@ def test_on_state_sees_exactly_the_reachable_states():
         seen = []
         explore(model, on_state=seen.append)
         assert len(seen) == len(set(seen)), name
+        vectors = {(s.ticks, s.results, s.analyzing, s.env) for s in seen}
+        assert len(seen) == len(vectors), name
         reachable = naive_reachable(model)
         assert set(seen) == reachable, name
         # The event API steps through the compiled transition lists.
@@ -205,7 +207,7 @@ def test_candidates_match_every_node_walk():
     for name, model, codes in interned_controls():
         for code in codes:
             ticks, results, _ = _decode_control(code)
-            assert _candidates(model, code) == \
+            assert [c[:2] for c in _candidates(model, code)] == \
                 walk_candidates(model, ticks, results), name
 
 
@@ -215,10 +217,11 @@ def test_control_codes_step_like_the_tuple_oracles():
             control = _decode_control(code)
             assert _encode_control(*control) == code, name
             candidates = _candidates(model, code)
-            assert candidates == conftest._candidates(model, *control[:2]), name
-            for event, _ in candidates:
-                assert _decode_control(_fire_control(model, code, event)) == \
-                    conftest._fire_control(model, control, event), name
+            assert [c[:2] for c in candidates] == \
+                conftest._candidates(model, *control[:2]), name
+            for event, _, successor in candidates:
+                assert successor == \
+                    _encode_control(*conftest._fire_control(model, control, event)), name
 
 
 def with_shuffled_ids(model, seed: int):
@@ -243,7 +246,8 @@ def test_trees_without_breadth_first_ids():
             assert comparable(verdict, model) == comparable(spec_explore(model), model), seed
             for code in interned:
                 ticks, results, _ = _decode_control(code)
-                assert _candidates(model, code) == walk_candidates(model, ticks, results), seed
+                assert [c[:2] for c in _candidates(model, code)] == \
+                    walk_candidates(model, ticks, results), seed
     assert unordered > 60
 
 
@@ -396,9 +400,8 @@ def test_decoded_state_steps_like_a_hand_built_one(case):
     model, states = case
     for state in states:
         assert state.code is not None
-        hand = MachineState(state.ticks, state.results, state.analyzing,
+        hand = MachineState(_encode_control(state.ticks, state.results, state.analyzing),
                             EnvState(state.env.values, model.env.slots))
-        assert hand.code is None
         assert hand == state and hash(hand) == hash(state)
         events = btv.semantics.enabled_events(model, state)
         assert btv.semantics.enabled_events(model, hand) == events
