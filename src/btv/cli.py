@@ -171,12 +171,30 @@ def _open_trace_out(path: str | None):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
+def _render_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2), rendered one top-level value, and one
+    item of a top-level list, at a time, so that the encoder's chunks are
+    never those of a whole counterexample at once. A value rendered on its
+    own is shifted into place by indenting every line after its first;
+    encoded strings never hold a raw newline."""
+    encode = json.JSONEncoder(indent=2).encode
+    fields = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            items = ",\n    ".join(encode(item).replace("\n", "\n    ") for item in value)
+            text = f"[\n    {items}\n  ]"
+        else:
+            text = encode(value).replace("\n", "\n  ")
+        fields.append(f"{encode(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}" if fields else "{}"
+
+
 def _write_json(payload: dict, output: str, trace_out) -> None:
     """Render `payload` once; write it to the --trace-out file if one is open,
     and print it for --output json."""
     if not trace_out and output != "json":
         return
-    text = json.dumps(payload, indent=2)
+    text = _render_json(payload)
     if trace_out:
         trace_out.write(text)
     if output == "json":

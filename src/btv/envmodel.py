@@ -7,24 +7,28 @@ rules; guards must cover every reachable valuation, which is checked by
 enumeration at load time when the guards' variables span few enough
 valuations.
 
-compile_expr, compile_predicate and compile_effects define expressions and
-assignments as closures over a values tuple; every guard, effect and
-invariant is evaluated by them, and the tests hold them to a tree-walking
-evaluator. compile_column, their block form, turns a well-typed expression
-into a tree of lazy `map` calls over a block of valuations laid out as one
-column per variable (EnvSpec.value_columns), so that the exhaustiveness
-check, which may enumerate up to EXHAUSTIVENESS_ENUM_LIMIT valuations,
-evaluates its guards in C loops rather than with one closure call per
-valuation.
+compile_expr, compile_predicate, compile_conjunction and compile_effects
+type-check an expression or assignment list and turn it into one generated
+Python function of a values tuple: every guard, every effect list and each
+model's invariants, fused into one predicate, are evaluated by such a
+function, and the tests hold them to a tree-walking evaluator. Each literal
+and slot index in the generated source is a parameter, so expressions of one
+shape share one code object, compiled once. compile_column, their block form,
+turns a well-typed expression into a tree of lazy `map` calls over a block of
+valuations laid out as one column per variable (EnvSpec.value_columns), so
+that the exhaustiveness check, which may enumerate up to
+EXHAUSTIVENESS_ENUM_LIMIT valuations, evaluates its guards in C loops rather
+than with one Python call per valuation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, islice, product, repeat
 from math import prod
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import ModelError, TickResult
@@ -125,10 +129,6 @@ class VarDecl:
         return isinstance(value, int) and not isinstance(value, bool) \
             and self.lo <= value <= self.hi
 
-    def wrap(self, value: int) -> int:
-        size = self.hi - self.lo + 1
-        return self.lo + (value - self.lo) % size
-
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -142,9 +142,10 @@ class EnvSpec:
         return {v.name: i for i, v in enumerate(self.variables)}
 
     @cached_property
-    def compiled_invariants(self) -> tuple[tuple[str, Callable], ...]:
-        return tuple((name, compile_predicate(pred, self.slots))
-                     for name, pred in self.invariants)
+    def invariants_hold(self) -> Callable[[tuple], bool]:
+        """One generated function of a values tuple laid out by `slots`:
+        whether every invariant holds."""
+        return compile_conjunction([pred for _, pred in self.invariants], self)
 
     def decl(self, name: str) -> VarDecl:
         slot = self.slots.get(name)
@@ -295,16 +296,6 @@ def expr_variables(e: Expr) -> set[str]:
     return set()
 
 
-def domain_checked(decl: VarDecl, value, wrap: bool):
-    """`value` if `decl`'s domain holds it; else wrapped into an integer
-    domain when `wrap` is set, else DomainViolationError."""
-    if decl.contains(value):
-        return value
-    if wrap and not decl.is_bool and isinstance(value, int):
-        return decl.wrap(value)
-    raise DomainViolationError(decl.name, value)
-
-
 def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
                   *, wrap: bool = False) -> EnvState:
     """Apply assignments to a valuation laid out by spec.slots, with
@@ -313,13 +304,17 @@ def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
 
 
 def check_invariants(spec: EnvSpec, env: EnvState) -> list[str]:
-    """Names of invariant predicates that evaluate to false."""
-    if env.slots is spec.slots:
-        values = env.values
-        return [name for name, holds in spec.compiled_invariants if not holds(values)]
-    # A valuation laid out by some other spec: go by name.
+    """Names of invariant predicates that evaluate to false, in declaration
+    order. The fused spec.invariants_hold decides; only when it fails are
+    the invariants evaluated one by one, to name them."""
+    values = env.values
+    if env.slots is not spec.slots:
+        # A valuation laid out by some other spec: go by name.
+        values = tuple(map(env.get, spec.slots))
+    if spec.invariants_hold(values):
+        return []
     return [name for name, pred in spec.invariants
-            if not compile_predicate(pred, env.slots)(env.values)]
+            if not compile_predicate(pred, spec)(values)]
 
 
 def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
@@ -365,56 +360,163 @@ def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
 
 # --- compiled expressions ------------------------------------------------------
 
-# A compiled expression maps a values tuple, laid out by `slots`, to the
-# expression's value in that valuation.
+# A compiled expression maps a values tuple, laid out by the spec it was
+# compiled against, to the expression's value in that valuation.
 Compiled = Callable[[tuple], object]
 
-_BINARY = {
-    "+": operator.add, "-": operator.sub,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "==": operator.eq, "!=": operator.ne,
-}
+# Generated source nests one bracket per level of an expression's height.
+# CPython 3.10-3.13 stop near 200 levels ("too many nested parentheses", or
+# a parser stack overflow at 197 for `(v[a0] and (v[a0] and ...))`), so a
+# deeper expression is refused before any source is generated. The parser's
+# MAX_EXPR_DEPTH keeps every model loaded from a file well below this.
+MAX_COMPILED_DEPTH = 150
+# How many distinct function sources keep their compiled code.
+SHAPE_CACHE_SIZE = 1024
+
+_PY_OPS = {"&&": "and", "||": "or"}
 
 
-def compile_expr(e: Expr, slots: Mapping[str, int]) -> Compiled:
-    """A closure computing e's value, with Python's operators, from a values
-    tuple; `&&` and `||` short-circuit to bools.
+def expr_depth(e: Expr) -> int:
+    """Height of an expression tree, level by level, without recursion."""
+    height = 0
+    level = [e]
+    while level:
+        height += 1
+        below = []
+        for node in level:
+            if isinstance(node, BinOp):
+                below += (node.left, node.right)
+            elif isinstance(node, NotOp):
+                below.append(node.operand)
+        level = below
+    return height
 
-    Closures rather than generated source, so that expression depth is
-    bounded by the parser's expression limits, not by the compiler's.
+
+def _typed(e: Expr, spec: EnvSpec) -> str:
+    """infer_type(e, spec), once `e` is known to be shallow enough to
+    compile; infer_type and _Source.expr recurse once per level."""
+    if expr_depth(e) > MAX_COMPILED_DEPTH:
+        raise ModelError(_at(e.span, f"expression nested deeper than "
+                                     f"{MAX_COMPILED_DEPTH} levels cannot be compiled"))
+    return infer_type(e, spec)
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape(source: str) -> CodeType:
+    """The code of the one function `source` defines."""
+    module = compile(source, "<btv generated>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+class _Source:
+    """The source of one function of a values tuple `v` laid out by
+    spec.slots.
+
+    Every literal and slot index in it is a parameter `a<i>` whose default
+    is that value, so expressions of one shape, such as `x > 1` and `y > 2`,
+    share one code object and differ only in their functions' defaults.
     """
-    if isinstance(e, (IntLit, BoolLit)):
-        const = e.value
-        return lambda values: const
-    if isinstance(e, VarRef):
-        slot = slots.get(e.name)
-        if slot is None:
-            name = e.name
 
-            def unknown(values):
-                raise UnknownVariableError(f"unknown variable {name!r}")
-            return unknown
-        return operator.itemgetter(slot)
-    if isinstance(e, NotOp):
-        inner = compile_expr(e.operand, slots)
-        return lambda values: not inner(values)
-    if isinstance(e, BinOp):
-        left = compile_expr(e.left, slots)
-        right = compile_expr(e.right, slots)
-        if e.op == "&&":
-            return lambda values: bool(left(values)) and bool(right(values))
-        if e.op == "||":
-            return lambda values: bool(left(values)) or bool(right(values))
-        op = _BINARY[e.op]
-        return lambda values: op(left(values), right(values))
-    raise TypeError(f"not an expression node: {e!r}")
+    def __init__(self, spec: EnvSpec):
+        self.slots = spec.slots
+        self.defaults: list = []
+
+    def arg(self, value) -> str:
+        self.defaults.append(value)
+        return f"a{len(self.defaults) - 1}"
+
+    def expr(self, e: Expr) -> str:
+        """Python for a well-typed `e`, with one bracket per operator."""
+        if isinstance(e, (IntLit, BoolLit)):
+            return self.arg(e.value)
+        if isinstance(e, VarRef):
+            return f"v[{self.arg(self.slots[e.name])}]"
+        if isinstance(e, NotOp):
+            return f"(not {self.expr(e.operand)})"
+        return f"({self.expr(e.left)} {_PY_OPS.get(e.op, e.op)} {self.expr(e.right)})"
+
+    def function(self, name: str, body: list[str]) -> Callable:
+        params = "".join([f", a{i}" for i in range(len(self.defaults))])
+        source = f"def {name}(v{params}):\n    " + "\n    ".join(body) + "\n"
+        return FunctionType(_shape(source), globals(), None, tuple(self.defaults))
+
+
+def compile_expr(e: Expr, spec: EnvSpec) -> Compiled:
+    """One generated Python function computing e's value, with Python's
+    operators, from a values tuple laid out by spec.slots.
+
+    The expression is type-checked first (ExpressionTypeError,
+    UnknownVariableError), so the function checks nothing: `&&`, `||` and
+    `!` see only bools and give bools, `+` and `-` see only ints. Generated
+    source rather than a closure per node, so that an evaluation is one
+    Python call however large the expression; each distinct source is
+    compiled once (_shape), which keeps loading a model of many similar
+    expressions cheap. An expression deeper than MAX_COMPILED_DEPTH is a
+    ModelError.
+    """
+    _typed(e, spec)
+    src = _Source(spec)
+    return src.function("expression", [f"return {src.expr(e)}"])
+
+
+def compile_conjunction(preds: Sequence[Expr], spec: EnvSpec) -> Callable[[tuple], bool]:
+    """compile_expr of the conjunction of `preds`: one function that is
+    True when all of them hold, and always for none. A predicate that is not
+    boolean is an ExpressionTypeError."""
+    for p in preds:
+        if _typed(p, spec) != "bool":
+            raise ExpressionTypeError(_at(p.span, "predicate is not boolean"))
+    src = _Source(spec)
+    return src.function("predicate", ["return " + (" and ".join(map(src.expr, preds)) or "True")])
+
+
+def compile_predicate(p: Expr, spec: EnvSpec) -> Callable[[tuple], bool]:
+    """compile_conjunction of the one predicate `p`."""
+    return compile_conjunction((p,), spec)
+
+
+def compile_effects(spec: EnvSpec, effects: Iterable[Assignment], *,
+                    wrap: bool = False) -> Callable[[tuple], tuple]:
+    """One generated function mapping a values tuple laid out by spec.slots
+    to the values after the assignments. Every right-hand side reads the
+    incoming values, then each result is checked against its variable's
+    domain and the writes happen, in listed order. An out-of-domain result
+    raises DomainViolationError, or with `wrap` (root-result hooks) an
+    integer wraps into its domain. A right-hand side is type-checked first:
+    one whose type is not its variable's is an ExpressionTypeError.
+    """
+    src = _Source(spec)
+    assign, check, written = [], [], {}
+    for k, a in enumerate(effects):
+        decl = spec.decl(a.name)
+        want = "bool" if decl.is_bool else "int"
+        got = _typed(a.expr, spec)
+        if got != want:
+            raise ExpressionTypeError(
+                _at(a.span, f"{a.name} is {want} but the assigned expression is {got}"))
+        assign.append(f"r{k} = {src.expr(a.expr)}")
+        written[spec.slots[a.name]] = f"r{k}"
+        if decl.is_bool:
+            continue  # every boolean value is in the domain
+        lo, hi = src.arg(decl.lo), src.arg(decl.hi)
+        check.append(f"if not {lo} <= r{k} <= {hi}:")
+        if wrap:
+            check.append(f"    r{k} = {lo} + (r{k} - {lo}) % {src.arg(decl.hi - decl.lo + 1)}")
+        else:
+            check.append(f"    raise DomainViolationError({src.arg(a.name)}, r{k})")
+    out = "".join(f"{written.get(i) or f'v[{src.arg(i)}]'}, " for i in range(len(spec.slots)))
+    return src.function("effects", assign + check + [f"return ({out})"])
 
 
 # A column-compiled expression maps a block of n valuations, given as one
 # column per slot, to an iterable of the n values compile_expr gives for them.
 ColumnCompiled = Callable[[Sequence[Sequence], int], Iterable]
 
-_COLUMN_BINARY = {**_BINARY, "&&": operator.and_, "||": operator.or_}
+_COLUMN_BINARY = {
+    "+": operator.add, "-": operator.sub,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne, "&&": operator.and_, "||": operator.or_,
+}
 
 
 def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
@@ -422,9 +524,8 @@ def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
     `map` over its operands' columns.
 
     The expression must be well typed (infer_type) and read only variables
-    in `slots`: `&&`, `||` and `!` are applied without bool() coercion and
-    without short-circuit, which gives compile_expr's values only for
-    boolean operands.
+    in `slots`: `&&`, `||` and `!` are applied without short-circuit, which
+    gives compile_expr's values only for boolean operands.
     """
     if isinstance(e, (IntLit, BoolLit)):
         const = e.value
@@ -441,34 +542,3 @@ def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
         op = _COLUMN_BINARY[e.op]
         return lambda columns, n: map(op, left(columns, n), right(columns, n))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def compile_predicate(p: Expr, slots: Mapping[str, int]) -> Compiled:
-    """compile_expr, raising ExpressionTypeError on a non-boolean value."""
-    f = compile_expr(p, slots)
-
-    def checked(values):
-        value = f(values)
-        if not isinstance(value, bool):
-            raise ExpressionTypeError(f"predicate evaluated to non-boolean {value!r}")
-        return value
-    return checked
-
-
-def compile_effects(spec: EnvSpec, effects: Iterable[Assignment], *,
-                    wrap: bool = False) -> Callable[[tuple], tuple]:
-    """A closure mapping a values tuple laid out by spec.slots to the values
-    after the assignments. Every right-hand side reads the incoming values,
-    then the writes happen in listed order. An out-of-domain result raises
-    DomainViolationError, or with `wrap` (root-result hooks) an integer
-    wraps into its domain."""
-    staged = [(spec.slots[a.name], compile_expr(a.expr, spec.slots), spec.decl(a.name))
-              for a in effects]
-
-    def apply_all(values):
-        new = [rhs(values) for _, rhs, _ in staged]
-        out = list(values)
-        for (slot, _, decl), value in zip(staged, new):
-            out[slot] = domain_checked(decl, value, wrap)
-        return tuple(out)
-    return apply_all

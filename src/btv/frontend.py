@@ -61,6 +61,7 @@ from .envmodel import (
     VarDecl,
     VarRef,
     check_outcome_exhaustiveness,
+    expr_depth,
     infer_type,
 )
 from .semantics import Model
@@ -465,7 +466,7 @@ class _Parser:
     def parse_expr(self) -> Expr:
         tok = self.peek()
         expr = self.parse_binary(0)
-        if self.expr_nesting == 0 and _expr_depth(expr) > MAX_EXPR_DEPTH:
+        if self.expr_nesting == 0 and expr_depth(expr) > MAX_EXPR_DEPTH:
             raise ParseError(tok.line, tok.col,
                              f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         return expr
@@ -531,20 +532,6 @@ class _Parser:
             self.next()
             return VarRef(tok.text, tok.span)
         raise self.error("an expression")
-
-
-def _expr_depth(e: Expr) -> int:
-    """Height of an expression tree, without recursion."""
-    deepest = 0
-    stack = [(e, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, BinOp):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-        elif isinstance(node, NotOp):
-            stack.append((node.operand, depth + 1))
-    return deepest
 
 
 def parse(text: str) -> ModelDocument:

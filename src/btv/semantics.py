@@ -21,8 +21,9 @@ bytes.translate.
 Only leaf outcomes read the environment, so a state's control code fixes
 its candidate events and the control code each leads to; _candidates
 states both, once per event. _Automaton interns the codes as control ids
-and builds each one's transition list once, with guards and effects
-compiled to closures over the env values tuple; the search,
+and builds each one's transition list once, with each guard and each
+effect list compiled to one generated function of the env values tuple
+(btv.envmodel), type-checked as it is compiled; the search,
 enabled_events, apply_event, tick_cycle and replay all step through it.
 """
 
@@ -42,6 +43,7 @@ from .envmodel import (
     EnvState,
     Expr,
     LeafBehavior,
+    NotOp,
     compile_effects,
     compile_predicate,
 )
@@ -447,9 +449,7 @@ class _Automaton:
             test = None
             if guard is not None:
                 pred, wanted = guard
-                test = compile_predicate(pred, env.slots)
-                if not wanted:
-                    test = _negate(test)
+                test = compile_predicate(pred if wanted else NotOp(pred, pred.span), env)
             effects, wrap = (), False
             if event.kind is EventKind.RESULT_ARRIVED:
                 effects, wrap = env.root_result_hook, True
@@ -472,10 +472,6 @@ class _Automaton:
             if (apply(values) if apply is not None else values) == successor[1:]:
                 return event
         raise AssertionError("no event connects the two states")
-
-
-def _negate(test):
-    return lambda values: not test(values)
 
 
 # --- schedulers and cycles --------------------------------------------------

@@ -1,19 +1,20 @@
 """Shared fixtures and independent oracles.
 
-The tool evaluates every guard, effect and invariant with closures compiled
-once per model (btv.envmodel.compile_expr and friends), and steps every
+The tool evaluates every guard, effect list and fused invariant with one
+Python function generated once per model (btv.envmodel.compile_expr and
+friends), and steps every
 state, in the search, simulation and replay alike, through the compiled
 transition lists of btv.semantics._Automaton, over control codes of one
 byte per node. eval_expr, eval_predicate and apply_effects here are a
 tree-walking evaluator of the same expressions, and enabled_events,
 apply_event and _fire step MachineState objects with it; the tests hold
-the tool's closures and event API to them. _candidates, _fire_control and
+the tool's generated functions and event API to them. _candidates, _fire_control and
 _state_delta are the tool's earlier derivation of a state's events, next
 control vectors and counterexample deltas over (ticks, results, analyzing)
 tuples, kept as the oracles for their byte-code versions; _encode_control
 packs such vectors into the control code a MachineState holds. The
 enumeration helpers below (naive_reachable, spec_explore, ...) walk only
-these copies, so they share no compiled closure and no step over control
+these copies, so they share no generated function and no step over control
 codes with the tool, and the checker has something independent to be
 compared against.
 walk_candidates and priority_key are the still earlier every-node
@@ -53,7 +54,6 @@ from btv.envmodel import (
     NotOp,
     VarRef,
     compile_predicate,
-    domain_checked,
     expr_variables,
 )
 from btv.semantics import (
@@ -143,6 +143,16 @@ def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
     for name, value in staged:
         out[env.slots[name]] = domain_checked(spec.decl(name), value, wrap)
     return EnvState(tuple(out), env.slots)
+
+
+def domain_checked(decl, value, wrap: bool):
+    """`value` if `decl`'s domain holds it; else wrapped into an integer
+    domain when `wrap` is set, else DomainViolationError."""
+    if decl.contains(value):
+        return value
+    if wrap and not decl.is_bool and isinstance(value, int):
+        return decl.lo + (value - decl.lo) % (decl.hi - decl.lo + 1)
+    raise DomainViolationError(decl.name, value)
 
 
 def enabled_events(model: Model, state: MachineState) -> list[Event]:
@@ -696,8 +706,9 @@ def naive_exhaustiveness(spec: EnvSpec, leaf: str,
         return (f"action {leaf!r}: outcome exhaustiveness not checked, its guards "
                 f"range over {size} valuations of {', '.join(names)} (limit "
                 f"{EXHAUSTIVENESS_ENUM_LIMIT})")
-    slots = {n: i for i, n in enumerate(names)}
-    guards = [compile_predicate(o.guard, slots) for o in behavior.outcomes]
+    # A spec of just these variables lays values out in the order of `names`.
+    guard_spec = EnvSpec(tuple(map(spec.decl, names)))
+    guards = [compile_predicate(o.guard, guard_spec) for o in behavior.outcomes]
     for values in spec.valuations(names):
         if not any(holds(values) for holds in guards):
             raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "

@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import btv
 import btv.cli
@@ -125,6 +127,23 @@ def test_check_json_matches_the_golden_verdict(capsys):
     del payload["stats"]["wall_time_s"]
     assert json.dumps(payload, indent=2) + "\n" == \
         GOLDEN_BUGGY_VERDICT.read_text(encoding="utf-8")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=5), sub, max_size=4),
+    max_leaves=20)
+
+
+@given(st.dictionaries(st.text(max_size=8), json_values, max_size=6))
+def test_rendered_json_is_json_dumps_with_indent_2(payload):
+    assert btv.cli._render_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("argv", [("check", BUGGY), ("simulate", ROBOT_WALL, "--ticks", "3")])
+def test_json_output_is_json_dumps_with_indent_2(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--output", "json")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])

@@ -45,8 +45,11 @@ DIST = VarDecl("distance_to_object", 0, 10, 10)
 
 
 def evaluate(pred, env):
-    """The tool's value of `pred` in `env`."""
-    return compile_predicate(pred, env.slots)(env.values)
+    """The tool's value of `pred` in `env`, compiled against a spec whose
+    domains are just the values given."""
+    spec = spec_of(*(VarDecl(n, None, None, v) if isinstance(v, bool) else VarDecl(n, v, v, v)
+                     for n, v in env.items()))
+    return compile_predicate(pred, spec)(env.values)
 
 
 def test_eval_distance_threshold():
@@ -66,9 +69,8 @@ def test_eval_boolean_identity():
 
 
 def test_eval_unknown_variable():
-    env = env_of(x=1)
     with pytest.raises(UnknownVariableError):
-        compile_expr(VarRef("ghost"), env.slots)(env.values)
+        compile_expr(VarRef("ghost"), spec_of(VarDecl("x", 0, 9, 1)))
 
 
 def test_apply_effects_decrement():
@@ -257,7 +259,7 @@ def test_eval_matches_cpython(expr, x, y):
     assert eval_expr(expr, env) == expected
 
 
-# --- compiled closures vs the tree-walking evaluator -----------------------------
+# --- generated functions vs the tree-walking evaluator ---------------------------
 
 XYF = spec_of(VarDecl("x", -20, 20, 0), VarDecl("y", -20, 20, 0),
               VarDecl("f", None, None, False))
@@ -289,9 +291,40 @@ def outcome(fn, *args):
 @settings(max_examples=300)
 def test_compiled_expressions_match_evaluator(expr, values):
     env = EnvState(values, XYF.slots)
-    assert outcome(compile_expr(expr, XYF.slots), values) == outcome(eval_expr, expr, env)
-    assert outcome(compile_predicate(expr, XYF.slots), values) == \
-        outcome(eval_predicate, expr, env)
+    assert outcome(compile_expr(expr, XYF), values) == outcome(eval_expr, expr, env)
+    if infer_type(expr, XYF) == "bool":
+        assert outcome(compile_predicate(expr, XYF), values) == \
+            outcome(eval_predicate, expr, env)
+        assert outcome(compile_predicate(NotOp(expr), XYF), values) == \
+            outcome(eval_predicate, NotOp(expr), env)
+    else:
+        # A non-boolean predicate is refused when compiled; the evaluator
+        # finds it when evaluating.
+        with pytest.raises(ExpressionTypeError, match="is not boolean"):
+            compile_predicate(expr, XYF)
+        with pytest.raises(ExpressionTypeError):
+            eval_predicate(expr, env)
+
+
+@given(st.lists(typed_bool_exprs, max_size=3), valuations)
+@settings(max_examples=300)
+def test_fused_invariants_name_the_false_ones_in_order(preds, values):
+    spec = spec_of(*XYF.variables, invariants=[(f"inv{k}", p) for k, p in enumerate(preds)])
+    env = EnvState(values, spec.slots)
+    expected = [name for name, p in spec.invariants if not eval_predicate(p, env)]
+    assert check_invariants(spec, env) == expected
+    assert check_invariants(spec, EnvState(values, dict(spec.slots))) == expected
+    assert outcome(spec.invariants_hold, values) == (bool, not expected)
+
+
+def test_one_shape_keeps_each_expressions_literals_and_slots():
+    spec = spec_of(VarDecl("x", 0, 3, 0), VarDecl("y", 0, 3, 0))
+    x1, x2, y1 = (compile_predicate(BinOp(">", VarRef(name), IntLit(k)), spec)
+                  for name, k in [("x", 1), ("x", 2), ("y", 1)])
+    assert x1.__code__ is x2.__code__ is y1.__code__
+    for values in spec.valuations(["x", "y"]):
+        x, y = values
+        assert (x1(values), x2(values), y1(values)) == (x > 1, x > 2, y > 1)
 
 
 small_int_exprs = st.recursive(
@@ -307,11 +340,11 @@ assignments = st.lists(
     min_size=1, max_size=3)
 
 
-@given(assignments, st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
+@given(assignments, st.tuples(st.integers(0, 4), st.integers(-2, 2), st.booleans()),
        st.booleans())
 @settings(max_examples=300)
 def test_compiled_effects_match_apply_effects(effects, values, wrap):
-    spec = spec_of(VarDecl("x", 0, 4, 0), VarDecl("y", 0, 4, 0),
+    spec = spec_of(VarDecl("x", 0, 4, 0), VarDecl("y", -2, 2, 0),
                    VarDecl("f", None, None, False))
     env = EnvState(values, spec.slots)
     compiled = outcome(compile_effects(spec, effects, wrap=wrap), values)

@@ -420,7 +420,7 @@ def test_on_state_states_give_the_oracles_enabled_events(case):
 
 # About 14k states over four integer variables (one with a negative lower
 # bound) and a bool: big enough that the store, not the fixed cost of the
-# transition table and compiled closures, sets the peak.
+# transition table and generated functions, sets the peak.
 MEMORY_MODEL = """
 tree { root {
   fallback fb {

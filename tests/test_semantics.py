@@ -2,8 +2,20 @@ import random
 
 import pytest
 
-from btv.core import NodeType, TickResult
-from btv.envmodel import ActionBehavior, ActionOutcome, BoolLit, NotOp
+from btv.core import ModelError, NodeType, TickResult
+from btv.envmodel import (
+    MAX_COMPILED_DEPTH,
+    ActionBehavior,
+    ActionOutcome,
+    Assignment,
+    BinOp,
+    BoolLit,
+    ConditionBehavior,
+    ExpressionTypeError,
+    IntLit,
+    NotOp,
+    VarRef,
+)
 from btv.frontend import elaborate, parse
 from btv.semantics import (
     DeadlockError,
@@ -11,6 +23,7 @@ from btv.semantics import (
     EventKind,
     EventNotEnabledError,
     Model,
+    _candidates,
     apply_event,
     cycle_step_budget,
     deterministic_policy,
@@ -209,6 +222,57 @@ def test_deadlock_on_non_exhaustive_action(rw):
     with pytest.raises(DeadlockError) as err:
         tick_cycle(broken, initial_state(broken))
     assert len(err.value.trace) == 5  # stuck right after the action was ticked
+
+
+def _state_where_moves(model, node):
+    """The first state of the deterministic cycle in which `node` moves;
+    its transition list is not built yet."""
+    state = initial_state(model)
+    while _candidates(model, state.code)[0][0].node != node:
+        state = apply_event(model, state, enabled_events(model, state)[0])
+    return state
+
+
+@pytest.mark.parametrize("node, behavior", [
+    ("condition_1", ConditionBehavior(BinOp("+", VarRef("distance_to_object"), IntLit(1)))),
+    ("condition_1", ConditionBehavior(BinOp("&&", VarRef("time"), BoolLit(True)))),
+    ("action_1", ActionBehavior((ActionOutcome(
+        BoolLit(True), S, (Assignment("time", BoolLit(True)),)),))),
+], ids=["int-guard", "int-operand-of-and", "bool-into-int"])
+def test_ill_typed_behavior_is_refused_when_its_transitions_are_built(rw, node, behavior):
+    # bypass elaborate, which would refuse each of these at load time
+    broken = Model(rw.tree, rw.env, {**rw.behaviors, node: behavior})
+    auto = broken.automaton
+    cid = auto.intern(_state_where_moves(broken, node).code)
+    with pytest.raises(ExpressionTypeError):
+        auto.transitions(cid)
+
+
+def _negated(pred, times):
+    for _ in range(times):
+        pred = NotOp(pred)
+    return pred
+
+
+@pytest.mark.parametrize("height", [MAX_COMPILED_DEPTH + 1, 5000])
+def test_too_deep_guard_is_a_model_error(rw, height):
+    # a comparison is 2 levels high, each `!` one more
+    guard = _negated(BinOp(">=", VarRef("time"), IntLit(0)), height - 2)
+    broken = Model(rw.tree, rw.env, {**rw.behaviors,
+                                     "action_1": ActionBehavior((ActionOutcome(guard, S),))})
+    auto = broken.automaton
+    cid = auto.intern(_state_where_moves(broken, "action_1").code)
+    with pytest.raises(ModelError, match=f"deeper than {MAX_COMPILED_DEPTH} levels"):
+        auto.transitions(cid)
+
+
+def test_guard_at_the_compiled_depth_limit_runs(rw):
+    guard = _negated(BinOp(">=", VarRef("time"), IntLit(0)), MAX_COMPILED_DEPTH - 2)
+    deep = Model(rw.tree, rw.env, {**rw.behaviors,
+                                   "action_1": ActionBehavior((ActionOutcome(guard, S),))})
+    state, result, _ = tick_cycle(deep, initial_state(deep))
+    assert result is S  # an even number of `!` around a true comparison
+    assert state.env.get("distance_to_object") == 10
 
 
 def test_random_policy_reproducible(rw):
