@@ -9,10 +9,20 @@ counterexamples are minimal in transition count and reproducible.
 The search steps packed states through btv.semantics._Automaton, whose
 control ids name distinct control codes (one byte per node: ticked, result
 and analyzing); it builds its own rather than Model.automaton, so that the
-control table is freed with the search. Every discovered state is stored
-as one exact mixed-radix int of its control id and values (see
-btv.semantics.StatePacking), mapped to its parent's int; values tuples
-live only on the frontier, where guards and effects read them. on_state
+control table is freed with the search. A state is named by one exact
+mixed-radix int of its control id and values (see
+btv.semantics.StatePacking). Only the states that can be reached twice are
+stored, in a dict from that int to its parent's int: the initial state,
+and the targets of transitions marked `store` (effects, leaf outcomes,
+ROOT_REINITIALIZE and ROOT_TICKED). Any other state has one predecessor
+state, the same values under its control id's one predecessor control id
+(_Automaton.pred), which is produced at most once, so it is produced at
+most once too and needs no dedup; it is counted and goes on the frontier.
+states_explored and max_states count every state, stored or not. Values
+tuples live only on the frontier, where guards and effects read them.
+A counterexample is rebuilt by walking back from its last state: through
+the dict for a stored key, and through _Automaton.pred for any other,
+with the values unchanged. on_state
 gets each state as a MachineState, its interned control code and an
 EnvState of its values. A counterexample's keys are unpacked, and
 each step's state delta is read from the control codes of the nodes its
@@ -117,8 +127,9 @@ def explore(model: Model, options: ExploreOptions | None = None,
     start = initial_state(model)
     init_values = start.env.values
     init = auto.packing.pack(auto.intern(start.code), init_values)
-    # Each discovered state's key maps to the key it was first reached from.
+    # Each stored state's key maps to the key it was first reached from.
     visited: dict[int, int | None] = {init: None}
+    explored = 1
     transitions = 0
     if on_state:
         on_state(start)
@@ -129,7 +140,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
         trace = None
         if bad_state is not None:
             trace = _trace_to(model, auto, visited, bad_state)
-        return Verdict(status, len(visited), transitions,
+        return Verdict(status, explored, transitions,
                        violated_invariant=invariant, counterexample=trace,
                        violating_event=violating_event, detail=detail, stats=stats)
 
@@ -156,7 +167,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
             for key, values in zip(keys, frontier_values):
                 cid = key // span
                 enabled = False
-                for event, test, apply, nxt, shift in table[cid] or auto.transitions(cid):
+                for event, test, apply, nxt, shift, store in table[cid] or auto.transitions(cid):
                     if test is not None and not test(values):
                         continue
                     enabled = True
@@ -174,12 +185,14 @@ def explore(model: Model, options: ExploreOptions | None = None,
                                 detail=f"{event.describe()}: {err.name} := {err.value} "
                                        "leaves the declared domain")
                         successor = shift + sum(map(mul, new_values, weights))
-                    if successor in visited:
+                    if store and successor in visited:
                         continue
-                    if len(visited) >= max_states:
+                    if explored >= max_states:
                         return finish(Status.BOUND_EXCEEDED,
                                       detail=f"max states {max_states} reached")
-                    visited[successor] = key
+                    explored += 1
+                    if store:
+                        visited[successor] = key
                     if on_state:
                         on_state(auto.decode((nxt,) + new_values))
                     violated = check_invariants(spec, EnvState(new_values, slots))
@@ -197,16 +210,29 @@ def explore(model: Model, options: ExploreOptions | None = None,
         return finish(Status.BOUND_EXCEEDED, detail=INTERRUPTED)
 
     stats.wall_time_s = time.perf_counter() - started
-    return Verdict(Status.HOLDS, len(visited), transitions, stats=stats)
+    return Verdict(Status.HOLDS, explored, transitions, stats=stats)
 
 
 def _trace_to(model: Model, auto: _Automaton, visited: dict,
               target: int) -> list[TraceStep]:
     """Rebuild the event path to the state keyed `target`, annotating each
-    step with deltas. Only the keys on the path are unpacked, each once."""
+    step with deltas. Only the keys on the path are unpacked, each once.
+
+    A stored key's parent is in `visited`. Any other key was reached
+    without effects from its control id's one predecessor, so its parent
+    has the same values under auto.pred's control id.
+    """
+    span, pred = auto.packing.span, auto.pred
+
+    def parent(key: int) -> int | None:
+        if key in visited:
+            return visited[key]
+        cid, values = divmod(key, span)
+        return pred[cid] * span + values
+
     path = [target]
-    while visited[path[-1]] is not None:
-        path.append(visited[path[-1]])
+    while (key := parent(path[-1])) is not None:
+        path.append(key)
     path.reverse()
     unpack = auto.packing.unpack
     names = model.env.slots

@@ -171,34 +171,42 @@ def _open_trace_out(path: str | None):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
-def _render_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2), rendered one top-level value, and one
-    item of a top-level list, at a time, so that the encoder's chunks are
-    never those of a whole counterexample at once. A value rendered on its
-    own is shifted into place by indenting every line after its first;
+def _json_chunks(payload: dict):
+    """json.dumps(payload, indent=2) in pieces: one top-level value, or one
+    item of a top-level list, at a time, so that the whole document, or a
+    whole counterexample, is never held as one string. A value rendered on
+    its own is shifted into place by indenting every line after its first;
     encoded strings never hold a raw newline."""
+    if not payload:
+        yield "{}"
+        return
     encode = json.JSONEncoder(indent=2).encode
-    fields = []
+    opening = "{\n  "
     for key, value in payload.items():
+        yield f"{opening}{encode(key)}: "
+        opening = ",\n  "
         if isinstance(value, list) and value:
-            items = ",\n    ".join(encode(item).replace("\n", "\n    ") for item in value)
-            text = f"[\n    {items}\n  ]"
+            item_opening = "[\n    "
+            for item in value:
+                yield item_opening + encode(item).replace("\n", "\n    ")
+                item_opening = ",\n    "
+            yield "\n  ]"
         else:
-            text = encode(value).replace("\n", "\n  ")
-        fields.append(f"{encode(key)}: {text}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}" if fields else "{}"
+            yield encode(value).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _write_json(payload: dict, output: str, trace_out) -> None:
-    """Render `payload` once; write it to the --trace-out file if one is open,
-    and print it for --output json."""
-    if not trace_out and output != "json":
-        return
-    text = _render_json(payload)
-    if trace_out:
-        trace_out.write(text)
+    """Render `payload` once, piece by piece; write each piece to the
+    --trace-out file if one is open, and to stdout for --output json,
+    where a newline ends it."""
+    files = [f for f in (trace_out, sys.stdout if output == "json" else None) if f]
+    if files:
+        for chunk in _json_chunks(payload):
+            for f in files:
+                f.write(chunk)
     if output == "json":
-        print(text)
+        sys.stdout.write("\n")
 
 
 def cmd_check(args) -> int:

@@ -308,7 +308,7 @@ def enabled_events(model: Model, state: MachineState) -> list[Event]:
     _candidates relies on the shape those states have.
     """
     values = state.env.values
-    return [event for event, test, _, _, _ in _transitions(model, state)
+    return [event for event, test, _, _, _, _ in _transitions(model, state)
             if test is None or test(values)]
 
 
@@ -319,7 +319,7 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
     bug) and DomainViolationError when an action effect leaves a domain.
     """
     values = state.env.values
-    for event, test, apply, nxt, _ in _transitions(model, state):
+    for event, test, apply, nxt, _, _ in _transitions(model, state):
         if event == e and (test is None or test(values)):
             return model.automaton.decode((nxt, *(values if apply is None else apply(values))))
     raise EventNotEnabledError(f"event not enabled: {e.describe()}")
@@ -400,16 +400,30 @@ class StatePacking:
         return tuple(reversed(values))
 
 
+# The events whose target control code another edge may enter too: a
+# reinitialize clears every tick and result, ROOT_TICKED sets an analyzing
+# flag that an earlier cycle may have left set, and two outcome rules can
+# lead to the same code. Every other event without effects enters its
+# target from one control id only.
+_MERGING = frozenset({EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME,
+                      EventKind.ROOT_REINITIALIZE, EventKind.ROOT_TICKED})
+
+
 class _Automaton:
     """Control ids and their transition lists, built on first use.
 
     A control id names one interned control code (a `bytes` object, so its
     hash is cached and equality is a memcmp); `controls[cid]` is the code.
-    A transition is (event, guard, effects, next control id, shift): `guard`
-    maps the env values tuple to whether the event is enabled, `effects`
-    maps it to the successor's values; either is None when the event has
-    none. `shift` gives the successor's key: without effects it is
-    key + shift, with effects it is shift + dot(new values, weights).
+    A transition is (event, guard, effects, next control id, shift, store):
+    `guard` maps the env values tuple to whether the event is enabled,
+    `effects` maps it to the successor's values; either is None when the
+    event has none. `shift` gives the successor's key: without effects it
+    is key + shift, with effects it is shift + dot(new values, weights).
+    `store` is true when the event has effects or is in _MERGING, that is,
+    when its target may be reached twice. Any other transition is the only
+    edge into its target, from `pred[target]`, and keeps the values, so a
+    state there has exactly one predecessor state: the same values under
+    the control id `pred[target]`.
     """
 
     def __init__(self, model: Model):
@@ -418,6 +432,8 @@ class _Automaton:
         self.ids: dict[bytes, int] = {}
         self.controls: list[bytes] = []
         self.table: list[list | None] = []
+        # The one predecessor control id of each unstored target built so far.
+        self.pred: dict[int, int] = {}
         self._compiled: dict[Event, tuple] = {}
 
     def intern(self, code: bytes) -> int:
@@ -438,7 +454,10 @@ class _Automaton:
                 test, apply = self._compile(event, guard)
                 nxt = self.intern(successor)
                 shift = (nxt - cid) * span if apply is None else nxt * span + base
-                out.append((event, test, apply, nxt, shift))
+                store = apply is not None or event.kind in _MERGING
+                if not store:
+                    self.pred[nxt] = cid
+                out.append((event, test, apply, nxt, shift, store))
             self.table[cid] = out
         return out
 
@@ -466,7 +485,7 @@ class _Automaton:
     def event_between(self, state: tuple, successor: tuple) -> Event:
         """The first event, in rule order, leading from state to successor."""
         values = state[1:]
-        for event, test, apply, nxt, _ in self.transitions(state[0]):
+        for event, test, apply, nxt, _, _ in self.transitions(state[0]):
             if nxt != successor[0] or test is not None and not test(values):
                 continue
             if (apply(values) if apply is not None else values) == successor[1:]:

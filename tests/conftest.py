@@ -12,7 +12,10 @@ the tool's generated functions and event API to them. _candidates, _fire_control
 _state_delta are the tool's earlier derivation of a state's events, next
 control vectors and counterexample deltas over (ticks, results, analyzing)
 tuples, kept as the oracles for their byte-code versions; _encode_control
-packs such vectors into the control code a MachineState holds. The
+packs such vectors into the control code a MachineState holds.
+control_graph walks them eagerly, guards ignored, into every reachable
+control code with the edges into it: the oracle for which transitions the
+search must store. The
 enumeration helpers below (naive_reachable, spec_explore, ...) walk only
 these copies, so they share no generated function and no step over control
 codes with the tool, and the checker has something independent to be
@@ -330,6 +333,33 @@ def _state_delta(model: Model, before: MachineState, after: MachineState) -> dic
     if env_changed:
         delta["env"] = env_changed
     return delta
+
+
+# --- the eager control graph -------------------------------------------------
+
+def control_graph(model: Model) -> dict[bytes, list[tuple[bytes | None, Event | None, bool]]]:
+    """Every control code reachable from the initial one when guards are
+    ignored, each with the edges into it: (source code, event, whether the
+    event has effects). The initial code also has the entry edge
+    (None, None, False), so a code has in-degree 1 exactly when one edge
+    leads into it. Built with the tuple-based _candidates and _fire_control,
+    not the tool's byte-code step."""
+    n = len(model.tree.node_order)
+    start = ((False,) * n, (TickResult.UNKNOWN,) * n, (False,) * n)
+    init = _encode_control(*start)
+    incoming = {init: [(None, None, False)]}
+    stack = [start]
+    while stack:
+        control = stack.pop()
+        code = _encode_control(*control)
+        for event, _ in _candidates(model, *control[:2]):
+            successor = _fire_control(model, control, event)
+            target = _encode_control(*successor)
+            if target not in incoming:
+                incoming[target] = []
+                stack.append(successor)
+            incoming[target].append((code, event, bool(_event_effects(model, event)[0])))
+    return incoming
 
 
 # --- enumerators over the tree-walking machine --------------------------------

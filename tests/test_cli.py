@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import btv
@@ -136,8 +136,15 @@ json_values = st.recursive(
 
 
 @given(st.dictionaries(st.text(max_size=8), json_values, max_size=6))
+@example({})
+@example({"counterexample": [], "warnings": []})
+@example({"a": [], "b": [[]], "c": {}, "d": [{}, []]})
 def test_rendered_json_is_json_dumps_with_indent_2(payload):
-    assert btv.cli._render_json(payload) == json.dumps(payload, indent=2)
+    chunks = list(btv.cli._json_chunks(payload))
+    assert "".join(chunks) == json.dumps(payload, indent=2)
+    # A key, then its value or each item of its list and the closing bracket.
+    pieces = [len(v) + 1 if isinstance(v, list) and v else 1 for v in payload.values()]
+    assert len(chunks) == (1 + sum(1 + n for n in pieces) if payload else 1)
 
 
 @pytest.mark.parametrize("argv", [("check", BUGGY), ("simulate", ROBOT_WALL, "--ticks", "3")])
