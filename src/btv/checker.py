@@ -20,13 +20,15 @@ state, the same values under its control id's one predecessor control id
 most once too and needs no dedup; it is counted and goes on the frontier.
 states_explored and max_states count every state, stored or not. Values
 tuples live only on the frontier, where guards and effects read them.
-A counterexample is rebuilt by walking back from its last state: through
+A counterexample is rebuilt in one walk back from its last state: through
 the dict for a stored key, and through _Automaton.pred for any other,
-with the values unchanged. on_state
-gets each state as a MachineState, its interned control code and an
-EnvState of its values. A counterexample's keys are unpacked, and
-each step's state delta is read from the control codes of the nodes its
-event touched (all nodes only for ROOT_REINITIALIZE) and from the values.
+with the values unchanged. A step's event is the one transition from the
+parent's control id to the child's; guards and effects run only when
+several lead there, to pick the first in rule order. Its state delta is
+read from the control codes of the nodes the event touched (all nodes only
+for ROOT_REINITIALIZE) and, when the key's values part changed, from the
+two unpacked valuations. on_state gets each state as a MachineState, its
+interned control code and an EnvState of its values.
 replay applies a trace through the same compiled guards and effects, so it
 does not check a counterexample independently; the tests' oracles do.
 """
@@ -216,39 +218,47 @@ def explore(model: Model, options: ExploreOptions | None = None,
 def _trace_to(model: Model, auto: _Automaton, visited: dict,
               target: int) -> list[TraceStep]:
     """Rebuild the event path to the state keyed `target`, annotating each
-    step with deltas. Only the keys on the path are unpacked, each once.
+    step with deltas, in one walk back from `target`.
 
     A stored key's parent is in `visited`. Any other key was reached
     without effects from its control id's one predecessor, so its parent
-    has the same values under auto.pred's control id.
+    has the same values under auto.pred's control id. A step's event is the
+    parent control id's one transition into the child's; only when several
+    lead there are guards and effects run, to pick the first in rule order
+    that gives the child's values. Keys are unpacked only for that and for
+    the env delta, which a step whose values part is unchanged lacks.
     """
-    span, pred = auto.packing.span, auto.pred
-
-    def parent(key: int) -> int | None:
-        if key in visited:
-            return visited[key]
-        cid, values = divmod(key, span)
-        return pred[cid] * span + values
-
-    path = [target]
-    while (key := parent(path[-1])) is not None:
-        path.append(key)
-    path.reverse()
+    span, pred, table, controls = auto.packing.span, auto.pred, auto.table, auto.controls
     unpack = auto.packing.unpack
     names = model.env.slots
-    state = unpack(path[0])
     steps = []
-    for key in path[1:]:
-        successor = unpack(key)
-        event = auto.event_between(state, successor)
-        delta = _control_delta(model, event, auto.controls[state[0]],
-                               auto.controls[successor[0]])
-        env_changed = {name: a for name, b, a in zip(names, state[1:], successor[1:])
-                       if a != b}
-        if env_changed:
-            delta["env"] = env_changed
+    key = target
+    cid, rest = divmod(key, span)
+    values = None  # the values of `key`, once unpacked
+    while (parent := visited.get(key, -1)) is not None:
+        if parent < 0:
+            pcid, prest = pred[cid], rest
+            parent = pcid * span + rest
+        else:
+            pcid, prest = divmod(parent, span)
+        same = prest == rest
+        arrows = [t for t in table[pcid] if t[3] == cid]
+        if values is None and (len(arrows) > 1 or not same):
+            values = unpack(key)[1:]
+        pvalues = values if same else unpack(parent)[1:]
+        if len(arrows) == 1:
+            event = arrows[0][0]
+        else:
+            event = next(event for event, test, apply, *_ in arrows
+                         if (test is None or test(pvalues))
+                         and (pvalues if apply is None else apply(pvalues)) == values)
+        delta = _control_delta(model, event, controls[pcid], controls[cid])
+        if not same:
+            delta["env"] = {name: a for name, b, a in zip(names, pvalues, values)
+                            if a != b}
         steps.append(TraceStep(event, delta))
-        state = successor
+        key, cid, rest, values = parent, pcid, prest, pvalues
+    steps.reverse()
     return steps
 
 

@@ -35,8 +35,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .core import (
     ModelError,
@@ -111,12 +113,8 @@ _PREC = {"||": 1, "&&": 2, "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
 _NOT_PREC = 3
 _CMP_PREC = 4
 
-_TWO_CHAR = (":=", "==", "!=", "<=", ">=", "&&", "||", "..")
-_ONE_CHAR = "{}();:=<>+-!,"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | punct | eof
     text: str
     line: int
@@ -127,55 +125,50 @@ class Token:
         return f"{self.line}:{self.col}"
 
 
+# One token, after any blanks, per match. "\r\n", "\r" and "\n" each end a
+# line. An identifier starts with a letter or "_" and goes on with letters,
+# digits and "_" in str.isalnum's sense, which is what \w means; only ASCII
+# digits form an int. [^\W\d] also admits a few non-letters such as "²" and
+# "½", so _tokenize checks the first character of a group-6 match.
+_TOKEN = re.compile(r"""[ \t]*(?:
+    (\r\n?|\n)                                       # 1: a line end
+  | (//[^\r\n]*)                                     # 2: a comment
+  | ([0-9]+)                                         # 3: int
+  | ([A-Za-z_]\w*)                                   # 4: ident
+  | (:=|==|!=|<=|>=|&&|\|\||\.\.|[{}();:=<>+\-!,])   # 5: punct
+  | ([^\W\d]\w*)                                     # 6: ident, non-ASCII start
+  | ([^ \t])                                         # 7: any other character
+)""", re.VERBOSE)
+_KIND = (None, None, None, "int", "ident", "punct", "ident")
+
+
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending with an eof token.
+
+    Columns count characters from 1, a tab as one. A comment runs to the
+    end of its line and does not advance the column, so an eof after a
+    trailing comment sits at the comment's column; otherwise the eof sits
+    one past the last character, trailing blanks included.
+    """
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in "\r\n":  # "\r\n", "\r" and "\n" each end a line
+    append = tokens.append
+    line, line_start = 1, 0  # the offset of the current line's first character
+    match = None
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            i += 2 if text.startswith("\r\n", i) else 1
+            line_start = match.end()
             continue
-        if c in " \t":
-            i += 1
-            col += 1
+        if group == 2:
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] not in "\r\n":
-                i += 1
-            continue
-        start_col = col
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, start_col, f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+        start = match.start(group)
+        if group >= 6 and (group == 7 or not text[start].isalpha()):
+            raise ParseError(line, start - line_start + 1,
+                             f"unexpected character {text[start]!r}")
+        append(Token(_KIND[group], match[group], line, start - line_start + 1))
+    end = match.start(2) if match and match.lastindex == 2 else len(text)
+    append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 

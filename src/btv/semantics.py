@@ -339,22 +339,28 @@ def _control_delta(model: Model, event: Event, before: bytes, after: bytes) -> d
 
     Only ROOT_REINITIALIZE changes bytes other than those of the event's
     node, its child and its node's parent, so only it compares every node.
+    Any other event changes each field of at most one node, so the order
+    in which those three are read does not show in the delta.
     """
     tree = model.tree
     if event.kind is EventKind.ROOT_REINITIALIZE:
-        touched = range(len(before))
+        touched = [i for i, (b, a) in enumerate(zip(before, after)) if b != a]
     else:
         idx = tree.node_index
-        nodes = {event.node, event.child, tree.parent.get(event.node)}
-        nodes.discard(None)
-        touched = sorted(idx[node] for node in nodes)
+        touched = [idx[event.node]]
+        if event.child is not None:
+            touched.append(idx[event.child])
+        if event.node in tree.parent:
+            touched.append(idx[tree.parent[event.node]])
     order = tree.node_order
     delta: dict = {}
     for label, bits, value_of in _DELTA_FIELDS:
-        changed = {order[i]: value_of[after[i]] for i in touched
-                   if (before[i] ^ after[i]) & bits}
-        if changed:
-            delta[label] = changed
+        for i in touched:
+            if (before[i] ^ after[i]) & bits:
+                if label in delta:
+                    delta[label][order[i]] = value_of[after[i]]
+                else:
+                    delta[label] = {order[i]: value_of[after[i]]}
     return delta
 
 
@@ -481,16 +487,6 @@ class _Automaton:
     def decode(self, state: tuple) -> MachineState:
         """The MachineState of a (control id, *values) tuple."""
         return MachineState(self.controls[state[0]], EnvState(state[1:], self.model.env.slots))
-
-    def event_between(self, state: tuple, successor: tuple) -> Event:
-        """The first event, in rule order, leading from state to successor."""
-        values = state[1:]
-        for event, test, apply, nxt, _, _ in self.transitions(state[0]):
-            if nxt != successor[0] or test is not None and not test(values):
-                continue
-            if (apply(values) if apply is not None else values) == successor[1:]:
-                return event
-        raise AssertionError("no event connects the two states")
 
 
 # --- schedulers and cycles --------------------------------------------------

@@ -29,10 +29,16 @@ cycle's interleavings; both cross-check the event machine.
 naive_exhaustiveness is the earlier per-valuation outcome exhaustiveness
 check, one compiled predicate call per guard and valuation, kept as the
 oracle for the column-wise check_outcome_exhaustiveness.
+_tokenize and its frozen Token are the earlier character-at-a-time
+tokenizer, kept as the oracle for btv.frontend's one-regex _tokenize.
+trace_to, with event_between and _control_delta, is the earlier
+counterexample rebuild, which unpacks every key on the path and runs each
+step's guards and effects, kept as the oracle for btv.checker._trace_to.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
@@ -59,16 +65,22 @@ from btv.envmodel import (
     compile_predicate,
     expr_variables,
 )
+from btv.frontend import ParseError
 from btv.semantics import (
     ANALYZING,
+    RESULT_BITS,
     TICKED,
+    _ANALYZING_OF,
     _RESULT_CODE,
+    _RESULT_OF,
+    _TICKED_OF,
     Event,
     EventKind,
     EventNotEnabledError,
     Guard,
     MachineState,
     Model,
+    _Automaton,
     initial_state,
 )
 
@@ -744,3 +756,158 @@ def naive_exhaustiveness(spec: EnvSpec, leaf: str,
             raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "
                                       f"for {dict(zip(names, values))}")
     return None
+
+
+# --- the character-at-a-time tokenizer that frontend._tokenize replaced -------
+
+_TWO_CHAR = (":=", "==", "!=", "<=", ">=", "&&", "||", "..")
+_ONE_CHAR = "{}();:=<>+-!,"
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | int | punct | eof
+    text: str
+    line: int
+    col: int
+
+    @property
+    def span(self) -> str:
+        return f"{self.line}:{self.col}"
+
+
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in "\r\n":  # "\r\n", "\r" and "\n" each end a line
+            line += 1
+            col = 1
+            i += 2 if text.startswith("\r\n", i) else 1
+            continue
+        if c in " \t":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] not in "\r\n":
+                i += 1
+            continue
+        start_col = col
+        if "0" <= c <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(Token("int", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = text[i:i + 2]
+        if two in _TWO_CHAR:
+            tokens.append(Token("punct", two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if c in _ONE_CHAR:
+            tokens.append(Token("punct", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(line, start_col, f"unexpected character {c!r}")
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+# --- the counterexample rebuild that checker._trace_to replaced ---------------
+
+def event_between(auto: _Automaton, state: tuple, successor: tuple) -> Event:
+    """The first event, in rule order, leading from state to successor."""
+    values = state[1:]
+    for event, test, apply, nxt, _, _ in auto.transitions(state[0]):
+        if nxt != successor[0] or test is not None and not test(values):
+            continue
+        if (apply(values) if apply is not None else values) == successor[1:]:
+            return event
+    raise AssertionError("no event connects the two states")
+
+
+# The per-node fields of a counterexample's state delta, in key order:
+# label, the field's bits in a node's byte, and its JSON value by byte.
+_DELTA_FIELDS = (
+    ("n_tick", TICKED, _TICKED_OF),
+    ("n_result", RESULT_BITS, tuple(r.value for r in _RESULT_OF)),
+    ("analyzing_subtree", ANALYZING, _ANALYZING_OF),
+)
+
+
+def _control_delta(model: Model, event: Event, before: bytes, after: bytes) -> dict:
+    """The per-node fields `event` changed, from the control codes around it.
+
+    Only ROOT_REINITIALIZE changes bytes other than those of the event's
+    node, its child and its node's parent, so only it compares every node.
+    """
+    tree = model.tree
+    if event.kind is EventKind.ROOT_REINITIALIZE:
+        touched = range(len(before))
+    else:
+        idx = tree.node_index
+        nodes = {event.node, event.child, tree.parent.get(event.node)}
+        nodes.discard(None)
+        touched = sorted(idx[node] for node in nodes)
+    order = tree.node_order
+    delta: dict = {}
+    for label, bits, value_of in _DELTA_FIELDS:
+        changed = {order[i]: value_of[after[i]] for i in touched
+                   if (before[i] ^ after[i]) & bits}
+        if changed:
+            delta[label] = changed
+    return delta
+
+
+def trace_to(model: Model, auto: _Automaton, visited: dict,
+             target: int) -> list[TraceStep]:
+    """Rebuild the event path to the state keyed `target`, annotating each
+    step with deltas. Only the keys on the path are unpacked, each once.
+
+    A stored key's parent is in `visited`. Any other key was reached
+    without effects from its control id's one predecessor, so its parent
+    has the same values under auto.pred's control id.
+    """
+    span, pred = auto.packing.span, auto.pred
+
+    def parent(key: int) -> int | None:
+        if key in visited:
+            return visited[key]
+        cid, values = divmod(key, span)
+        return pred[cid] * span + values
+
+    path = [target]
+    while (key := parent(path[-1])) is not None:
+        path.append(key)
+    path.reverse()
+    unpack = auto.packing.unpack
+    names = model.env.slots
+    state = unpack(path[0])
+    steps = []
+    for key in path[1:]:
+        successor = unpack(key)
+        event = event_between(auto, state, successor)
+        delta = _control_delta(model, event, auto.controls[state[0]],
+                               auto.controls[successor[0]])
+        env_changed = {name: a for name, b, a in zip(names, state[1:], successor[1:])
+                       if a != b}
+        if env_changed:
+            delta["env"] = env_changed
+        steps.append(TraceStep(event, delta))
+        state = successor
+    return steps

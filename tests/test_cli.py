@@ -1,4 +1,6 @@
+import enum
 import json
+import math
 import os
 import signal
 import subprocess
@@ -23,6 +25,9 @@ BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
 # `btv check robot_wall_buggy.bt --output json` without stats.wall_time_s.
 # CI diffs the installed entry point's output against the same file.
 GOLDEN_BUGGY_VERDICT = Path(__file__).parent / "golden" / "robot_wall_buggy.check.json"
+# `btv simulate robot_wall.bt --output json`, byte for byte; CI diffs the
+# installed entry point's output against it too.
+GOLDEN_SIMULATION = Path(__file__).parent / "golden" / "robot_wall.simulate.json"
 
 
 def run(capsys, *argv):
@@ -129,6 +134,16 @@ def test_check_json_matches_the_golden_verdict(capsys):
         GOLDEN_BUGGY_VERDICT.read_text(encoding="utf-8")
 
 
+def test_simulate_json_matches_the_golden_simulation(capsys):
+    code, out, _ = run(capsys, "simulate", ROBOT_WALL, "--output", "json")
+    assert code == 0
+    assert out == GOLDEN_SIMULATION.read_text(encoding="utf-8")
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=5), sub, max_size=4),
@@ -139,6 +154,15 @@ json_values = st.recursive(
 @example({})
 @example({"counterexample": [], "warnings": []})
 @example({"a": [], "b": [[]], "c": {}, "d": [{}, []]})
+@example({"inf": math.inf, "-inf": -math.inf, "nan": math.nan, "neg_zero": -0.0,
+          "big": 1e16, "floats": [math.inf, -math.inf, math.nan, -0.0, 1e16, 0.1]})
+@example({"flags": [True, 1, False, 0, None], "one": 1, "true": True})
+@example({"é\u2028\x00\n\"\\": "ß\x1f\t\x7f😀", "keys": {"\x01é": ["\r", "\u0000"]}})
+@example({"pair": (1, [2, {"x": (3,)}]), "pairs": [(), (4, 5)], "empty": ()})
+@example({"level": Level.HIGH, "levels": [Level.HIGH, {"in": Level.HIGH}]})
+@example({"keys": {1: "int", 2.5: "float", None: "none", Level.HIGH: "enum"},
+          "bool_keys": {True: "t", False: "f"}, "float_keys": {math.inf: 0, -0.0: 1}})
+@example({1: [1, 2], None: "top-level keys that are not strings", 0.5: {}})
 def test_rendered_json_is_json_dumps_with_indent_2(payload):
     chunks = list(btv.cli._json_chunks(payload))
     assert "".join(chunks) == json.dumps(payload, indent=2)
@@ -147,7 +171,8 @@ def test_rendered_json_is_json_dumps_with_indent_2(payload):
     assert len(chunks) == (1 + sum(1 + n for n in pieces) if payload else 1)
 
 
-@pytest.mark.parametrize("argv", [("check", BUGGY), ("simulate", ROBOT_WALL, "--ticks", "3")])
+@pytest.mark.parametrize("argv", [("check", BUGGY), ("simulate", ROBOT_WALL, "--ticks", "3"),
+                                  ("validate", ROBOT_WALL)])
 def test_json_output_is_json_dumps_with_indent_2(capsys, argv):
     _, out, _ = run(capsys, *argv, "--output", "json")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,3 +1,7 @@
+import string
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from btv.frontend import (
     MAX_TREE_DEPTH,
     ElaborationError,
     ParseError,
+    _tokenize,
     build_tree,
     elaborate,
     load_model,
@@ -20,7 +25,11 @@ from btv.frontend import (
 )
 from btv.envmodel import BinOp, BoolLit, IntLit, NotOp, UnknownVariableError, VarRef
 
+import conftest
 from randmodels import GenParams, random_model_source
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 ROBOT_WALL = bundled_model_path("robot_wall.bt").read_text()
 
@@ -426,3 +435,57 @@ def test_rendered_expressions_parse_back(e):
     # literal one unary `-`: this keeps the text inside MAX_EXPR_NESTING.
     assume(2 * height(e) + 1 <= MAX_EXPR_NESTING)
     assert parse(nested_source(1, render_expr(e))).conditions[0].success_when == e
+
+
+# --- the tokenizer against the character-at-a-time oracle ---------------------
+
+def tokens_or_error(tokenize, text: str):
+    """(kind, text, line, col) of every token, or the ParseError's text."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as err:
+        return str(err)
+
+
+# Every punctuation token, the line ends, blanks and comments, ASCII letters
+# and digits, letters outside ASCII, and characters that are word characters
+# but not letters (a superscript two, a half, an Arabic-Indic three) or not
+# tokens at all.
+TOKENIZER_PIECES = (
+    "{", "}", "(", ")", ";", ":", "=", "<", ">", "+", "-", "!", ",",
+    ":=", "==", "!=", "<=", ">=", "&&", "||", "..", ".", "&", "|", "/",
+    "\r", "\r\n", "\n", "\t", " ", "//",
+    *string.ascii_letters, *string.digits, "_",
+    "é", "ß", "²", "½", "٣", "#",
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=30).map("".join))
+@example("")
+@example("a // trailing comment")
+@example("a \t ")
+@example("x\r\r\ny\n\rz // c\r")
+@example("12ab 1² a²½٣ ²a")
+@example("é٣ ٣ #")
+def test_tokenizer_matches_the_character_oracle(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(conftest._tokenize, text)
+
+
+def bundled_and_benchmark_sources():
+    for name in ("robot_wall.bt", "robot_wall_buggy.bt", "fallback_running.bt"):
+        yield name, bundled_model_path(name).read_text(encoding="utf-8")
+    for workload in gen.WORKLOADS:
+        for size in gen.SIZES:
+            for seed in (0, 7):
+                yield f"{workload}-{size}-{seed}", gen.generate(workload, seed, size).source
+
+
+def test_tokenizer_matches_the_oracle_on_real_models():
+    for name, text in bundled_and_benchmark_sources():
+        tokens = tokens_or_error(_tokenize, text)
+        assert isinstance(tokens, list), name
+        assert tokens == tokens_or_error(conftest._tokenize, text), name
+        for crlf in (text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+            assert tokens_or_error(_tokenize, crlf) == \
+                tokens_or_error(conftest._tokenize, crlf), name

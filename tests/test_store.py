@@ -10,14 +10,19 @@ only by `store` transitions, and _Automaton.pred must name the one source
 of every other. spec_explore stores every state; explore must agree with
 it on counts, on where max_states stops the search, and on
 counterexamples that end at or pass through unstored states.
+checker._trace_to rebuilds a counterexample by walking back through both
+kinds of state; conftest.trace_to, the earlier rebuild that unpacks every
+key and runs every step's guards and effects, must give the same steps.
 """
 
 import collections
 import dataclasses
+import json
 import random
 
 from btv import bundled_model_path, load_model
-from btv.checker import ExploreOptions, Status, explore, replay
+import btv.checker
+from btv.checker import ExploreOptions, Status, explore, replay, step_to_json
 from btv.envmodel import Assignment, BinOp, DomainViolationError, IntLit, VarRef
 from btv.frontend import elaborate, parse
 from btv.semantics import EventKind, _Automaton, initial_state
@@ -25,7 +30,8 @@ from btv.semantics import EventKind, _Automaton, initial_state
 import conftest
 from conftest import apply_event, control_graph, enabled_events, spec_explore
 from randmodels import GenParams, random_model_source
-from test_kernel import BUNDLED, comparable, with_probe_invariant
+from test_frontend import bundled_and_benchmark_sources
+from test_kernel import BUNDLED, comparable, corpus, with_probe_invariant
 
 
 def random_models(params: GenParams, seeds, prefix: str = ""):
@@ -149,15 +155,20 @@ def with_overflow(model, rng: random.Random):
     return dataclasses.replace(model, behaviors={**model.behaviors, node: bumped})
 
 
-def unstored_steps(model, trace) -> list[bool]:
-    """For each step of `trace`, whether explore left its target unstored."""
+def step_shapes(model, trace) -> list[tuple[bool, bool, int]]:
+    """For each step of `trace`: whether explore left its target unstored,
+    whether it changed the values, and how many transitions lead from its
+    control id to its target's."""
     auto = _Automaton(model)
     cid = auto.intern(initial_state(model).code)
     out = []
     for step in trace:
-        store, cid = next((store, nxt) for event, _, _, nxt, _, store
-                          in auto.transitions(cid) if event == step.event)
-        out.append(not store)
+        transitions = auto.transitions(cid)
+        store, nxt = next((store, nxt) for event, _, _, nxt, _, store in transitions
+                          if event == step.event)
+        out.append((not store, "env" in step.state_delta,
+                    sum(t[3] == nxt for t in transitions)))
+        cid = nxt
     return out
 
 
@@ -193,10 +204,59 @@ def test_counterexamples_through_unstored_states():
                 else:
                     pred = dict(model.env.invariants)[verdict.violated_invariant]
                     assert not conftest.eval_predicate(pred, state.env), seed
-                unstored = unstored_steps(model, trace)
+                unstored = [unstored for unstored, _, _ in step_shapes(model, trace)]
                 cases[verdict.status, bool(unstored and unstored[-1]),
                       any(unstored[:-1])] += 1
     for status in (Status.DEADLOCK, Status.DOMAIN_VIOLATION):
         assert cases[status, True, True] > 5, cases
     assert sum(n for (status, _, through), n in cases.items()
                if status is Status.VIOLATED and through) > 5, cases
+
+
+def test_trace_rebuild_matches_the_earlier_rebuild(monkeypatch):
+    rebuilt = []
+
+    def both(model, auto, visited, target):
+        steps = rebuild(model, auto, visited, target)
+        oracle = conftest.trace_to(model, auto, visited, target)
+        # As JSON text, so that the key order of every delta counts too.
+        assert [json.dumps(step_to_json(s)) for s in steps] == \
+            [json.dumps(step_to_json(s)) for s in oracle]
+        rebuilt.append(steps)
+        return steps
+
+    rebuild = btv.checker._trace_to
+    monkeypatch.setattr(btv.checker, "_trace_to", both)
+
+    def models():
+        yield from corpus()
+        for name, text in bundled_and_benchmark_sources():
+            yield name, elaborate(parse(text))
+        for deterministic in (True, False):
+            params = GenParams(max_nodes=12, deterministic=deterministic)
+            for seed in range(150):
+                base = elaborate(parse(random_model_source(seed, params)))
+                rng = random.Random(seed)
+                yield f"gap:{seed}", with_gap(base, rng)
+                yield f"overflow:{seed}", with_overflow(base, rng)
+
+    # (status, a run of two unstored steps, a step with effects, a tie).
+    cases = collections.Counter()
+    for name, model in models():
+        if model is None:
+            continue
+        del rebuilt[:]
+        verdict = explore(model)
+        if verdict.counterexample is None:
+            assert not rebuilt, name
+            continue
+        assert rebuilt == [verdict.counterexample], name
+        shapes = step_shapes(model, verdict.counterexample)
+        runs = any(a[0] and b[0] for a, b in zip(shapes, shapes[1:]))
+        cases[verdict.status, runs, any(env for _, env, _ in shapes),
+              any(ties > 1 for *_, ties in shapes)] += 1
+    for status in (Status.VIOLATED, Status.DEADLOCK, Status.DOMAIN_VIOLATION):
+        assert sum(n for (s, runs, env, _), n in cases.items()
+                   if s is status and runs and env) > 5, cases
+    for status in (Status.VIOLATED, Status.DOMAIN_VIOLATION):
+        assert cases[status, True, True, True] > 5, cases
