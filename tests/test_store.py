@@ -240,7 +240,7 @@ def test_trace_rebuild_matches_the_earlier_rebuild(monkeypatch):
                 yield f"gap:{seed}", with_gap(base, rng)
                 yield f"overflow:{seed}", with_overflow(base, rng)
 
-    # (status, a run of two unstored steps, a step with effects, a tie).
+    # (status, a run of two unstored steps, a step that changed values, a tie).
     cases = collections.Counter()
     for name, model in models():
         if model is None:
@@ -256,7 +256,7 @@ def test_trace_rebuild_matches_the_earlier_rebuild(monkeypatch):
         cases[verdict.status, runs, any(env for _, env, _ in shapes),
               any(ties > 1 for *_, ties in shapes)] += 1
     for status in (Status.VIOLATED, Status.DEADLOCK, Status.DOMAIN_VIOLATION):
-        assert sum(n for (s, runs, env, _), n in cases.items()
-                   if s is status and runs and env) > 5, cases
+        assert sum(n for (kind, through, changed, _), n in cases.items()
+                   if kind is status and through and changed) > 5, cases
     for status in (Status.VIOLATED, Status.DOMAIN_VIOLATION):
         assert cases[status, True, True, True] > 5, cases
