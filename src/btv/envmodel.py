@@ -13,32 +13,29 @@ Python function of a values tuple: every guard, every effect list and each
 model's invariants, fused into one predicate, are evaluated by such a
 function, and the tests hold them to a tree-walking evaluator. Each literal
 and slot index in the generated source is a parameter, so expressions of one
-shape share one code object, compiled once. compile_column, their block form,
-turns a well-typed expression into a tree of lazy `map` calls over a block of
-valuations laid out as one column per variable (EnvSpec.value_columns), so
-that the exhaustiveness check, which may enumerate up to
-EXHAUSTIVENESS_ENUM_LIMIT valuations, evaluates its guards in C loops rather
-than with one Python call per valuation.
+shape share one code object, compiled once. compile_mask, their row form,
+maps a valuation of all variables but one, z, to the bitmask of z's values
+where a boolean expression holds. Every comparison is linear in z, so the
+exhaustiveness check, which may cover up to EXHAUSTIVENESS_ENUM_LIMIT
+valuations, evaluates each guard once per valuation of the other variables
+rather than once per valuation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, islice, product, repeat
+from functools import cached_property, lru_cache, partial
+from itertools import product
 from math import prod
 from types import CodeType, FunctionType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import ModelError, TickResult
 
 # Load-time exhaustiveness enumeration is skipped above this many valuations
 # of the variables an action's guards mention.
 EXHAUSTIVENESS_ENUM_LIMIT = 10**6
-# The enumeration evaluates the guards over this many valuations at a time,
-# which bounds its memory.
-EXHAUSTIVENESS_BLOCK = 1024
 
 
 class ExpressionTypeError(ModelError):
@@ -179,23 +176,6 @@ class EnvSpec:
         values tuples in the order of `names`."""
         return product(*self.domains(names))
 
-    def value_columns(self, names: Iterable[str]) -> list[Iterator]:
-        """valuations(names) transposed without building a tuple per
-        valuation: one lazy iterator per variable, yielding its value in
-        each valuation, in the same order."""
-        domains = self.domains(names)
-        sizes = [len(d) for d in domains]
-        columns = []
-        for i, domain in enumerate(domains):
-            # The run of the domain repeats once per valuation of the earlier
-            # variables, each value within it once per valuation of the later.
-            values = chain.from_iterable(repeat(domain, prod(sizes[:i])))
-            later = prod(sizes[i + 1:])
-            if later > 1:
-                values = chain.from_iterable(map(repeat, values, repeat(later)))
-            columns.append(values)
-        return columns
-
 
 @dataclass(frozen=True)
 class EnvState:
@@ -322,14 +302,16 @@ def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
     """Verify at least one outcome guard holds for every valuation.
 
     Enumerates only the variables the guards mention (other variables cannot
-    influence them), in the order of spec.valuations, EXHAUSTIVENESS_BLOCK
-    valuations at a time; the error names the first valuation no guard
-    covers. When those variables span more than EXHAUSTIVENESS_ENUM_LIMIT
-    valuations the check is skipped and a warning is returned; a
-    non-exhaustive action then surfaces at run time as a deadlock. Returns
-    None when the check ran and passed. A guard that is not a well-typed
-    boolean expression raises ExpressionTypeError (or UnknownVariableError)
-    first.
+    influence them), and one of those, z, with the largest domain (the later
+    in sorted order on a tie), as a bitmask: for each valuation of the others,
+    a row, the guards' masks (compile_mask) must cover all of z's domain. The
+    error names the first valuation no guard covers, in the order of
+    spec.valuations. When the guards' variables span more than
+    EXHAUSTIVENESS_ENUM_LIMIT valuations the check is skipped and a warning
+    is returned; a non-exhaustive action then surfaces at run time as a
+    deadlock. Returns None when the check ran and passed. A guard that is
+    not a well-typed boolean expression raises ExpressionTypeError (or
+    UnknownVariableError) first.
     """
     for o in behavior.outcomes:
         if infer_type(o.guard, spec) != "bool":
@@ -341,21 +323,39 @@ def check_outcome_exhaustiveness(spec: EnvSpec, leaf: str,
         return (f"action {leaf!r}: outcome exhaustiveness not checked, its guards "
                 f"range over {size} valuations of {', '.join(names)} (limit "
                 f"{EXHAUSTIVENESS_ENUM_LIMIT})")
-    slots = {n: i for i, n in enumerate(names)}
+    domains = spec.domains(names)
+    # z = names[p]; with no variables, a one-bit mask over no variable.
+    p = max(range(len(names)), key=lambda i: (len(domains[i]), i), default=0)
+    z, zdomain = (names[p], domains.pop(p)) if names else (None, range(1))
+    slots = {n: i for i, n in enumerate(names[:p] + names[p + 1:])}
     # With no outcomes, no guard holds anywhere.
-    guards = [compile_column(g, slots)
+    guards = [compile_mask(g, slots, z, zdomain)
               for g in [o.guard for o in behavior.outcomes] or [BoolLit(False)]]
-    value_columns = spec.value_columns(names)
-    for start in range(0, size, EXHAUSTIVENESS_BLOCK):
-        n = min(EXHAUSTIVENESS_BLOCK, size - start)
-        columns = [list(islice(c, n)) for c in value_columns]
-        holds = list(reduce(partial(map, operator.or_),
-                            [guard(columns, n) for guard in guards]))
-        if not all(holds):
-            i = holds.index(False)
-            raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "
-                                      f"for {dict(zip(names, (c[i] for c in columns)))}")
-    return None
+    full = (1 << len(zdomain)) - 1
+    # The first uncovered valuation is in the first block of rows with a gap,
+    # the rows that share their values of names[:p]: the lowest gap bit of
+    # the block, in its first row that has it.
+    block = prod(map(len, domains[p:]))
+    first = None
+    for r, row in enumerate(product(*domains)):
+        if first and r % block == 0:
+            break
+        covered = 0
+        for guard in guards:
+            covered |= guard(row)
+            if covered == full:
+                break
+        else:
+            gap = full ^ covered
+            bit = (gap & -gap).bit_length() - 1
+            if first is None or bit < first[0]:
+                first = bit, row
+    if first is None:
+        return None
+    bit, row = first
+    values = row[:p] + (zdomain[bit],) + row[p:]
+    raise ExhaustivenessError(f"action {leaf!r}: no outcome guard holds "
+                              f"for {dict(zip(names, values))}")
 
 
 # --- compiled expressions ------------------------------------------------------
@@ -508,37 +508,82 @@ def compile_effects(spec: EnvSpec, effects: Iterable[Assignment], *,
     return src.function("effects", assign + check + [f"return ({out})"])
 
 
-# A column-compiled expression maps a block of n valuations, given as one
-# column per slot, to an iterable of the n values compile_expr gives for them.
-ColumnCompiled = Callable[[Sequence[Sequence], int], Iterable]
+# --- guard masks -----------------------------------------------------------
 
-_COLUMN_BINARY = {
-    "+": operator.add, "-": operator.sub,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "==": operator.eq, "!=": operator.ne, "&&": operator.and_, "||": operator.or_,
-}
+def compile_mask(e: Expr, slots: Mapping[str, int], z: str | None,
+                 domain: Sequence) -> Callable[[tuple], int]:
+    """The well-typed boolean `e` as a function from a valuation of the
+    variables in `slots`, laid out by them, to an int whose bit i is set when
+    `e` holds there with z = domain[i]. With z None, `domain` is range(1).
 
-
-def compile_column(e: Expr, slots: Mapping[str, int]) -> ColumnCompiled:
-    """compile_expr over a block of valuations: each node becomes one lazy
-    `map` over its operands' columns.
-
-    The expression must be well typed (infer_type) and read only variables
-    in `slots`: `&&`, `||` and `!` are applied without short-circuit, which
-    gives compile_expr's values only for boolean operands.
+    One closure per node. `&&` and `||` skip their right operand when the
+    left decides. A comparison is linear (_linear), so its mask is a run of
+    bits or one bit (_mask_lt, _mask_eq).
     """
-    if isinstance(e, (IntLit, BoolLit)):
-        const = e.value
-        return lambda columns, n: repeat(const, n)
+    n = len(domain)
+    full = (1 << n) - 1
+    if isinstance(e, BoolLit):
+        mask = full if e.value else 0
+        return lambda o: mask
     if isinstance(e, VarRef):
+        if e.name == z:
+            return lambda o: 0b10  # z's domain is (False, True)
         slot = slots[e.name]
-        return lambda columns, n: columns[slot]
-    if isinstance(e, NotOp):
-        inner = compile_column(e.operand, slots)
-        return lambda columns, n: map(operator.not_, inner(columns, n))
-    if isinstance(e, BinOp):
-        left = compile_column(e.left, slots)
-        right = compile_column(e.right, slots)
-        op = _COLUMN_BINARY[e.op]
-        return lambda columns, n: map(op, left(columns, n), right(columns, n))
-    raise TypeError(f"not an expression node: {e!r}")
+        return lambda o: full if o[slot] else 0
+    if isinstance(e, NotOp) or e.op == "!=":  # x != y is !(x == y)
+        inner = compile_mask(e.operand if isinstance(e, NotOp) else
+                             BinOp("==", e.left, e.right), slots, z, domain)
+        return lambda o: full ^ inner(o)
+    if e.op in BOOL_OPS:
+        left = compile_mask(e.left, slots, z, domain)
+        right = compile_mask(e.right, slots, z, domain)
+        if e.op == "&&":
+            return lambda o: (m := left(o)) and m & right(o)
+        return lambda o: m if (m := left(o)) == full else m | right(o)
+    # left - right op 0, with z = domain[0] + i: a*i + k + the slots' terms.
+    # Over the integers, x > 0 is -x < 0, and x <= 0 is x - 1 < 0.
+    form = _linear(BinOp("-", e.left, e.right))
+    a, k = form.pop(z, 0), form.pop("", 0)
+    sign = -1 if e.op in (">", ">=") else 1
+    k = sign * (k + a * domain[0]) - (e.op in ("<=", ">="))
+    terms = [(slots[v], sign * c) for v, c in form.items() if c]
+    at = partial(_mask_eq if e.op == "==" else _mask_lt, a=sign * a, n=n)
+    if not terms:
+        mask = at(k)
+        return lambda o: mask
+    if len(terms) == 1:
+        [(s, c)] = terms
+        return lambda o: at(k + c * o[s])
+    read, coefs = zip(*terms)
+    return lambda o: at(k + sum(map(operator.mul, coefs, map(o.__getitem__, read))))
+
+
+def _mask_lt(t: int, a: int, n: int) -> int:
+    """The bits i of range(n) where a*i + t < 0."""
+    if a > 0:  # i < ceil(-t / a), which is -(t // a)
+        return (1 << min(max(-(t // a), 0), n)) - 1
+    if a < 0:  # i > t / -a, so from floor(t / -a) + 1 on
+        return (1 << n) - (1 << min(max(t // -a + 1, 0), n))
+    return (1 << n) - 1 if t < 0 else 0
+
+
+def _mask_eq(t: int, a: int, n: int) -> int:
+    """The bits i of range(n) where a*i + t == 0."""
+    if a == 0:
+        return (1 << n) - 1 if t == 0 else 0
+    i, rest = divmod(-t, a)
+    return 1 << i if rest == 0 and 0 <= i < n else 0
+
+
+def _linear(e: Expr) -> dict[str, int]:
+    """The well-typed integer `e` as {variable: coefficient}, its constant
+    under ""; a coefficient may be 0."""
+    if isinstance(e, IntLit):
+        return {"": e.value}
+    if isinstance(e, VarRef):
+        return {e.name: 1}
+    form = _linear(e.left)
+    sign = 1 if e.op == "+" else -1
+    for v, c in _linear(e.right).items():
+        form[v] = form.get(v, 0) + sign * c
+    return form

@@ -28,7 +28,8 @@ recursion, no events), and cycle_outcomes collects every outcome of one
 cycle's interleavings; both cross-check the event machine.
 naive_exhaustiveness is the earlier per-valuation outcome exhaustiveness
 check, one compiled predicate call per guard and valuation, kept as the
-oracle for the column-wise check_outcome_exhaustiveness.
+oracle for check_outcome_exhaustiveness, which evaluates each guard as a
+bitmask over one variable's values per valuation of the others.
 _tokenize and its frozen Token are the earlier character-at-a-time
 tokenizer, kept as the oracle for btv.frontend's one-regex _tokenize.
 trace_to, with event_between and _control_delta, is the earlier

@@ -1,8 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import btv.envmodel
 from btv.envmodel import (
     Assignment,
     BinOp,
@@ -22,13 +21,15 @@ from btv.envmodel import (
     apply_effects,
     check_invariants,
     check_outcome_exhaustiveness,
-    compile_column,
     compile_effects,
     compile_expr,
+    compile_mask,
     compile_predicate,
     infer_type,
+    _linear,
 )
 from btv.core import TickResult
+from btv.frontend import _Parser
 import conftest
 from conftest import eval_expr, eval_predicate, naive_exhaustiveness
 
@@ -352,7 +353,7 @@ def test_compiled_effects_match_apply_effects(effects, values, wrap):
     assert compiled == expected
 
 
-# --- column-wise exhaustiveness vs the per-valuation oracle --------------------
+# --- mask-wise exhaustiveness vs the per-valuation oracle ----------------------
 
 @pytest.mark.parametrize("gap", [0, 1023, 1024, 2047, 2048, 9999])
 def test_exhaustiveness_reports_the_gap_in_any_block(gap):
@@ -432,34 +433,70 @@ def result_or_error(fn, *args):
         return type(err), str(err)
 
 
+def model_of(*decls, guards=(), avoid=()):
+    """A spec of `decls` and one action whose guards are the source texts
+    `guards`, and then one more that holds except at the valuations
+    `avoid`, each a dict of values."""
+    exprs = [_Parser(g).parse_expr() for g in guards]
+    if avoid:
+        exprs.append(_Parser(" && ".join(
+            "(" + " || ".join(f"{n} != {v}" for n, v in point.items()) + ")"
+            for point in avoid)).parse_expr())
+    return spec_of(*decls), ActionBehavior(tuple(ActionOutcome(g, TickResult.SUCCESS)
+                                                 for g in exprs))
+
+
+# The first gap in valuation order is not in the first row with a gap when
+# the mask variable, the largest domain, is not last: here it is first, and
+# then in the middle.
+@example(model_of(VarDecl("a", 0, 9, 0), VarDecl("b", 0, 1, 0),
+                  avoid=[{"a": 7, "b": 0}, {"a": 3, "b": 1}]))
+@example(model_of(VarDecl("a", 0, 1, 0), VarDecl("b", 0, 9, 0), VarDecl("c", 0, 1, 0),
+                  avoid=[{"a": 0, "b": 7, "c": 0}, {"a": 0, "b": 3, "c": 1},
+                         {"a": 1, "b": 0, "c": 0}]))
 @given(guard_models())
 @settings(max_examples=200, deadline=None)
-def test_column_exhaustiveness_matches_naive_oracle(model):
+def test_mask_exhaustiveness_matches_naive_oracle(model):
     spec, behavior = model
-    expected = result_or_error(naive_exhaustiveness, spec, "a1", behavior)
-    default = btv.envmodel.EXHAUSTIVENESS_BLOCK
-    try:
-        for block in (1, 3, default):
-            btv.envmodel.EXHAUSTIVENESS_BLOCK = block
-            assert result_or_error(check_outcome_exhaustiveness,
-                                   spec, "a1", behavior) == expected, block
-    finally:
-        btv.envmodel.EXHAUSTIVENESS_BLOCK = default
+    assert result_or_error(check_outcome_exhaustiveness, spec, "a1", behavior) == \
+        result_or_error(naive_exhaustiveness, spec, "a1", behavior)
 
 
-@given(guard_models())
+X, Y = VarDecl("x", 0, 9, 0), VarDecl("y", -4, 4, 0)
+
+
+# `k` picks the mask variable among None and the spec's variables.
+@example(model_of(X, Y, guards=["x + x + x >= 7 || x + x < y"]), 1)
+@example(model_of(X, Y, guards=["0 - x < y", "y - x - x > 0 - 3"]), 1)
+@example(model_of(X, Y, guards=["x + x == y || x + x + x != y + 1", "y - x == 0 - x"]), 1)
+@example(model_of(VarDecl("x", -6, -1, -6), Y, guards=["x - y >= 0 - 3 && x <= y"]), 1)
+@example(model_of(VarDecl("b", None, None, False), VarDecl("c", None, None, False), X,
+                  guards=["b || c && x > 1", "!b && (c || b)"]), 1)
+@example(model_of(VarDecl("x", 4, 4, 4), Y,
+                  guards=["x == 4 || x != 4 && x < y", "x + x > 8"]), 1)
+@given(guard_models(), st.integers(0, 4))
 @settings(max_examples=100, deadline=None)
-def test_value_columns_and_compile_column_match_evaluator(model):
+def test_compile_mask_matches_evaluator(model, k):
     spec, behavior = model
-    every = list(spec.valuations(spec.slots))
-    assert list(zip(*spec.value_columns(spec.slots))) == every
-    block = every[::len(every) // 50 + 1]
-    columns = list(zip(*block))
-    for o in behavior.outcomes:
-        for e in (o.guard, *_subexpressions(o.guard)):
-            got = list(compile_column(e, spec.slots)(columns, len(block)))
-            want = [eval_expr(e, EnvState(values, spec.slots)) for values in block]
-            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+    names = list(spec.slots)
+    z = [None, *names][k % (len(names) + 1)]
+    domain = spec.domains([z])[0] if z else range(1)
+    outer = [n for n in names if n != z]
+    slots = {n: i for i, n in enumerate(outer)}
+    rows = list(spec.valuations(outer))
+    for row in rows[::len(rows) // 20 + 1]:
+        envs = [EnvState(tuple({**dict(zip(outer, row)), z: v}[n] for n in names),
+                         spec.slots) for v in domain]
+        for o in behavior.outcomes:
+            for e in (o.guard, *_subexpressions(o.guard)):
+                want = [eval_expr(e, env) for env in envs]
+                if infer_type(e, spec) == "bool":
+                    mask = compile_mask(e, slots, z, domain)(row)
+                    assert mask == sum(1 << i for i, holds in enumerate(want) if holds)
+                else:
+                    form = _linear(e)
+                    assert [sum(c * (env.get(v) if v else 1) for v, c in form.items())
+                            for env in envs] == want
 
 
 def _subexpressions(e):
