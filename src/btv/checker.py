@@ -27,8 +27,10 @@ parent's control id to the child's; guards and effects run only when
 several lead there, to pick the first in rule order. Its state delta is
 read from the control codes of the nodes the event touched (all nodes only
 for ROOT_REINITIALIZE) and, when the key's values part changed, from the
-two unpacked valuations. on_state gets each state as a MachineState, its
-interned control code and an EnvState of its values.
+two unpacked valuations. Each discovered state's invariants are evaluated
+on its values tuple (check_invariants takes the tuple as it is); an
+EnvState is built only for on_state, which gets each state as a
+MachineState, its interned control code and an EnvState of its values.
 replay applies a trace through the same compiled guards and effects, so it
 does not check a counterexample independently; the tests' oracles do.
 """
@@ -42,7 +44,7 @@ from enum import Enum
 from operator import mul
 
 from .core import TickResult
-from .envmodel import DomainViolationError, EnvState, check_invariants
+from .envmodel import DomainViolationError, check_invariants
 from .semantics import (
     Event,
     EventKind,
@@ -122,7 +124,6 @@ def explore(model: Model, options: ExploreOptions | None = None,
     started = time.perf_counter()
     stats = Stats()
     spec = model.env
-    slots = spec.slots
     auto = _Automaton(model)
     span, weights = auto.packing.span, auto.packing.weights
 
@@ -146,7 +147,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
                        violated_invariant=invariant, counterexample=trace,
                        violating_event=violating_event, detail=detail, stats=stats)
 
-    violated = check_invariants(spec, start.env)
+    violated = check_invariants(spec, init_values)
     if violated:
         return finish(Status.VIOLATED, bad_state=init, invariant=violated[0],
                       detail=f"invariant {violated[0]!r} false in the initial state")
@@ -197,7 +198,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
                         visited[successor] = key
                     if on_state:
                         on_state(auto.decode((nxt,) + new_values))
-                    violated = check_invariants(spec, EnvState(new_values, slots))
+                    violated = check_invariants(spec, new_values)
                     if violated:
                         return finish(Status.VIOLATED, bad_state=successor,
                                       invariant=violated[0])

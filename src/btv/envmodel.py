@@ -283,14 +283,18 @@ def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
     return EnvState(compile_effects(spec, effects, wrap=wrap)(env.values), env.slots)
 
 
-def check_invariants(spec: EnvSpec, env: EnvState) -> list[str]:
+def check_invariants(spec: EnvSpec, env: EnvState | tuple) -> list[str]:
     """Names of invariant predicates that evaluate to false, in declaration
-    order. The fused spec.invariants_hold decides; only when it fails are
-    the invariants evaluated one by one, to name them."""
-    values = env.values
-    if env.slots is not spec.slots:
-        # A valuation laid out by some other spec: go by name.
-        values = tuple(map(env.get, spec.slots))
+    order, for a values tuple laid out by spec.slots or an EnvState. Only an
+    EnvState can be read by name, when its slots are not spec.slots. The
+    fused spec.invariants_hold decides; only when it fails are the
+    invariants evaluated one by one, to name them."""
+    values = env
+    if not isinstance(env, tuple):
+        values = env.values
+        if env.slots is not spec.slots:
+            # A valuation laid out by some other spec: go by name.
+            values = tuple(map(env.get, spec.slots))
     if spec.invariants_hold(values):
         return []
     return [name for name, pred in spec.invariants

@@ -25,6 +25,8 @@ BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
 # `btv check robot_wall_buggy.bt --output json` without stats.wall_time_s.
 # CI diffs the installed entry point's output against the same file.
 GOLDEN_BUGGY_VERDICT = Path(__file__).parent / "golden" / "robot_wall_buggy.check.json"
+# The same for the HOLDS verdict of `btv check robot_wall.bt --output json`.
+GOLDEN_HOLDS_VERDICT = Path(__file__).parent / "golden" / "robot_wall.check.json"
 # `btv simulate robot_wall.bt --output json`, byte for byte; CI diffs the
 # installed entry point's output against it too.
 GOLDEN_SIMULATION = Path(__file__).parent / "golden" / "robot_wall.simulate.json"
@@ -132,6 +134,15 @@ def test_check_json_matches_the_golden_verdict(capsys):
     del payload["stats"]["wall_time_s"]
     assert json.dumps(payload, indent=2) + "\n" == \
         GOLDEN_BUGGY_VERDICT.read_text(encoding="utf-8")
+
+
+def test_check_json_matches_the_golden_holds_verdict(capsys):
+    code, out, _ = run(capsys, "check", ROBOT_WALL, "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    del payload["stats"]["wall_time_s"]
+    assert json.dumps(payload, indent=2) + "\n" == \
+        GOLDEN_HOLDS_VERDICT.read_text(encoding="utf-8")
 
 
 def test_simulate_json_matches_the_golden_simulation(capsys):

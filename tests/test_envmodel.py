@@ -307,14 +307,29 @@ def test_compiled_expressions_match_evaluator(expr, values):
             eval_predicate(expr, env)
 
 
+# At (x, y, f) = (1, -2, True): x < 0, y > 0 and !f are false, f is true.
+FALSE_AT_1_M2_T = [BinOp("<", VarRef("x"), IntLit(0)), VarRef("f"),
+                   BinOp(">", VarRef("y"), IntLit(0)), NotOp(VarRef("f"))]
+
+
 @given(st.lists(typed_bool_exprs, max_size=3), valuations)
+@example([], (1, -2, True))
+@example(FALSE_AT_1_M2_T[:1], (1, -2, True))
+@example(FALSE_AT_1_M2_T[2:], (1, -2, True))
+@example(FALSE_AT_1_M2_T[:3], (1, -2, True))
 @settings(max_examples=300)
 def test_fused_invariants_name_the_false_ones_in_order(preds, values):
+    """A values tuple laid out by spec.slots, an EnvState over the same
+    slots, and EnvStates read by name (a copy of the slots, and the slots
+    and values reversed) all name the same invariants."""
     spec = spec_of(*XYF.variables, invariants=[(f"inv{k}", p) for k, p in enumerate(preds)])
     env = EnvState(values, spec.slots)
     expected = [name for name, p in spec.invariants if not eval_predicate(p, env)]
+    assert check_invariants(spec, values) == expected
     assert check_invariants(spec, env) == expected
     assert check_invariants(spec, EnvState(values, dict(spec.slots))) == expected
+    reversed_slots = {name: k for k, name in enumerate(reversed(spec.slots))}
+    assert check_invariants(spec, EnvState(values[::-1], reversed_slots)) == expected
     assert outcome(spec.invariants_hold, values) == (bool, not expected)
 
 
@@ -355,8 +370,12 @@ def test_compiled_effects_match_apply_effects(effects, values, wrap):
 
 # --- mask-wise exhaustiveness vs the per-valuation oracle ----------------------
 
-@pytest.mark.parametrize("gap", [0, 1023, 1024, 2047, 2048, 9999])
-def test_exhaustiveness_reports_the_gap_in_any_block(gap):
+# x and y have 100 values each; on the tie, y, the later name, is the mask
+# variable, so row x = gap // 100 is a 100-bit mask with the gap at bit
+# gap % 100. The gaps sit at bit 0 and the last bit of the first, an
+# interior and the last row.
+@pytest.mark.parametrize("gap", [0, 99, 5000, 5099, 9900, 9999])
+def test_exhaustiveness_reports_the_gap_at_any_row_edge(gap):
     spec = spec_of(VarDecl("x", 0, 99, 0), VarDecl("y", -50, 49, 0))
     x, y = gap // 100, gap % 100 - 50
     point = BinOp("&&", BinOp("==", VarRef("x"), IntLit(x)),

@@ -167,6 +167,36 @@ def test_on_state_sees_exactly_the_reachable_states():
                     outcome(apply_event, model, state, event), name
 
 
+# x = 2 breaks `zeta` and `alpha` at once; `ok` always holds.
+TWO_BREAKS = """
+tree {{ root {{ action a; }} }}
+env {{ var x: int in 0..3 = {init}; }}
+action a {{ outcome SUCCESS when x < 3 {{ x := x + 1; }}
+           outcome FAILURE when x == 3; }}
+invariant ok {{ x >= 0; }}
+invariant zeta {{ x < 2; }}
+invariant alpha {{ x != 2; }}
+"""
+
+
+@pytest.mark.parametrize("init,steps", [(2, 0), (0, 8)], ids=["initial", "deeper"])
+def test_simultaneous_breaks_name_the_first_declared(init, steps):
+    model = elaborate(parse(TWO_BREAKS.format(init=init)))
+    seen, oracle_seen = [], []
+    verdict = explore(model, on_state=seen.append)
+    assert verdict.status is Status.VIOLATED
+    assert verdict.violated_invariant == "zeta"
+    assert len(verdict.counterexample) == steps
+    assert replay(model, verdict.counterexample).env.get("x") == 2
+    assert comparable(verdict, model) == \
+        comparable(spec_explore(model, on_state=oracle_seen.append), model)
+    # on_state still gets MachineStates over EnvStates laid out by the spec.
+    assert seen == oracle_seen
+    for state in seen:
+        assert type(state) is MachineState and type(state.env) is EnvState
+        assert state.env.slots is model.env.slots
+
+
 def deeper_random_models():
     for deterministic in (True, False):
         params = GenParams(max_nodes=40, max_depth=8, deterministic=deterministic)
