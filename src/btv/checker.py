@@ -212,8 +212,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
     except KeyboardInterrupt:
         return finish(Status.BOUND_EXCEEDED, detail=INTERRUPTED)
 
-    stats.wall_time_s = time.perf_counter() - started
-    return Verdict(Status.HOLDS, explored, transitions, stats=stats)
+    return finish(Status.HOLDS)
 
 
 def _trace_to(model: Model, auto: _Automaton, visited: dict,

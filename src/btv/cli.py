@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="exhaustively verify invariants")
     common(p_check)
-    p_check.add_argument("--max-states", type=positive_int, default=1_000_000)
+    p_check.add_argument("--max-states", type=positive_int,
+                         default=ExploreOptions.max_states)
     p_check.add_argument("--max-depth", type=nonnegative_int, default=None)
     p_check.add_argument("--trace-out", default=None,
                          help="write the verdict (with any counterexample) as JSON")
@@ -177,37 +178,14 @@ def _open_trace_out(path: str | None):
 # indentation. _render writes the same text with a plain recursive call per
 # container, about three times faster on a long counterexample.
 _string = json.encoder.encode_basestring_ascii
-_encode = json.JSONEncoder(indent=2).encode
-
-
-def _float(value: float) -> str:
-    """A float as json writes it, NaN and the infinities included."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a str as a string, and a float, int,
-    bool or None as its JSON text in quotes."""
-    if isinstance(key, str):
-        return _string(key)
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return _string(_render(key, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def _render(value, newline: str) -> str:
     """json.dumps(value, indent=2) with `newline` ("\n" and the enclosing
-    indentation) starting each line after the first. Values of exactly the
-    JSON types are written here; any other value (a tuple, a subclass) is
-    left to json's encoder and shifted into place, which is exact because
-    encoded strings never hold a raw newline."""
+    indentation) starting each line after the first. Only the values btv
+    writes are rendered: a dict with str keys, a list, str, int, bool, None
+    and a finite float. Any other type raises TypeError, and NaN or an
+    infinity raises ValueError."""
     kind = type(value)
     if kind is str:
         return _string(value)
@@ -215,12 +193,7 @@ def _render(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        try:
-            items = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()]
-        except TypeError:  # a key that is not a str, or a value json refuses
-            if all(type(k) is str for k in value):
-                raise
-            items = [f"{_key(k)}: {_render(v, inner)}" for k, v in value.items()]
+        items = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if value is None:
         return "null"
@@ -236,23 +209,25 @@ def _render(value, newline: str) -> str:
         inner = newline + "  "
         return f"[{inner}{(',' + inner).join([_render(v, inner) for v in value])}{newline}]"
     if kind is float:
-        return _float(value)
-    return _encode(value).replace("\n", newline)
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"btv writes no float {value!r}: it is not valid JSON")
+    raise TypeError(f"btv writes no value of type {kind.__name__}")
 
 
 def _json_chunks(payload: dict):
     """json.dumps(payload, indent=2), byte for byte, in pieces: one
     top-level value, or one item of a top-level list, at a time, so that
     the whole document, or a whole counterexample, is never held as one
-    string."""
+    string. The values allowed are those of _render."""
     if not payload:
         yield "{}"
         return
     opening = "{\n  "
     for key, value in payload.items():
-        yield f"{opening}{_key(key)}: "
+        yield f"{opening}{_string(key)}: "
         opening = ",\n  "
-        if isinstance(value, list) and value:
+        if type(value) is list and value:
             item_opening = "[\n    "
             for item in value:
                 yield item_opening + _render(item, "\n    ")

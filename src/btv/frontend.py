@@ -538,15 +538,12 @@ def build_tree(doc: ModelDocument) -> TreeSpec:
     """Assign breadth-first ids and build the TreeSpec (no validation)."""
     n_type: dict[str, NodeType] = {}
     parent: dict[str, str] = {}
-    order: list[NodeDecl] = []
-    queue = [doc.tree_root]
-    while queue:
-        decl = queue.pop(0)
-        order.append(decl)
+    order = [doc.tree_root]
+    for decl in order:  # breadth-first: `order` grows as it is read
         n_type[decl.name] = decl.kind
         for child in decl.children:
             parent[child.name] = decl.name
-            queue.append(child)
+            order.append(child)
     n_id = {decl.name: i for i, decl in enumerate(order)}
     for decl in order:
         if decl.explicit_id is not None and decl.explicit_id != n_id[decl.name]:

@@ -191,8 +191,9 @@ def test_exhaustiveness_bounded_by_guard_variables_only():
     BinOp("&&", VarRef("x"), VarRef("y")),
 ])
 def test_exhaustiveness_rejects_ill_typed_guards(guard):
-    # Column evaluation needs boolean guards (`2 & 1` is 0, while
-    # `bool(2) and bool(1)` is True), so the check types its guards first.
+    # compile_mask builds a mask only for a predicate and joins masks with
+    # `&` and `|`: an int operand, such as `x + 1`, or `x` in `x && y`, has
+    # no mask, so the check types its guards first.
     spec = spec_of(VarDecl("x", 0, 3, 0), VarDecl("y", 0, 3, 0))
     behavior = ActionBehavior((ActionOutcome(BinOp("<", VarRef("x"), IntLit(9)),
                                              TickResult.SUCCESS),

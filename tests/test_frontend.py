@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from btv import bundled_model_path
 from btv.cli import main
-from btv.core import ModelError, NodeType
+from btv.core import ModelError, NodeType, bfs_numbering
 from btv.frontend import (
     MAX_EXPR_DEPTH,
     MAX_EXPR_NESTING,
@@ -238,6 +238,16 @@ def test_bfs_ids_on_three_level_tree():
     model = elaborate(parse(src))
     assert model.tree.n_id == {"root": 0, "f": 1, "s1": 2, "s2": 3,
                                "c1": 4, "a1": 5, "c2": 6, "a2": 7}
+
+    # A wide level: 300 leaves under one fallback, every 50th a sequence
+    # whose two leaves are numbered after the whole level.
+    kids = [f"sequence s{i} {{ condition d{i}; condition e{i}; }}" if i % 50 == 0
+            else f"condition c{i};" for i in range(300)]
+    tree = build_tree(parse(f"tree {{ root {{ fallback f {{ {' '.join(kids)} }} }} }}"))
+    level2 = [f"s{i}" if i % 50 == 0 else f"c{i}" for i in range(300)]
+    level3 = [name for i in range(0, 300, 50) for name in (f"d{i}", f"e{i}")]
+    assert tree.n_id == {name: i for i, name in enumerate(["root", "f", *level2, *level3])}
+    assert tree.n_id == bfs_numbering(tree)
 
 
 def test_explicit_ids_verified():
