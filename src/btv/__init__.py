@@ -13,7 +13,7 @@ from .core import (
     ValidationReport,
     validate_tree,
 )
-from .envmodel import EnvSpec, EnvState, apply_effects, check_invariants
+from .envmodel import EnvSpec, EnvState, check_invariants
 from .frontend import bundled_model_path, elaborate, load_model, parse, render_model
 from .semantics import (
     Event,
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EnvSpec", "EnvState", "Event", "EventKind", "ExploreOptions",
     "MachineState", "Model", "NodeType", "Status", "TickResult", "TreeSpec",
-    "ValidationReport", "Verdict", "apply_effects", "apply_event",
-    "bundled_model_path", "check_invariants", "elaborate", "enabled_events",
-    "explore", "initial_state", "load_model", "parse", "render_model",
-    "replay", "tick_cycle", "validate_tree",
+    "ValidationReport", "Verdict", "apply_event", "bundled_model_path",
+    "check_invariants", "elaborate", "enabled_events", "explore",
+    "initial_state", "load_model", "parse", "render_model", "replay",
+    "tick_cycle", "validate_tree",
 ]

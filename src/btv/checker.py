@@ -13,7 +13,7 @@ control table is freed with the search. A state is named by one exact
 mixed-radix int of its control id and values (see
 btv.semantics.StatePacking). Only the states that can be reached twice are
 stored, in a dict from that int to its parent's int: the initial state,
-and the targets of transitions marked `store` (effects, leaf outcomes,
+and the targets of transitions marked `store` (effects, ACT_OUTCOME,
 ROOT_REINITIALIZE and ROOT_TICKED). Any other state has one predecessor
 state, the same values under its control id's one predecessor control id
 (_Automaton.pred), which is produced at most once, so it is produced at
@@ -302,7 +302,7 @@ def step_from_json(data: dict) -> Event:
     return Event(EventKind(data["event"]), data["node"], data.get("child"), outcome)
 
 
-def verdict_to_json(verdict: Verdict, model: Model | None = None) -> dict:
+def verdict_to_json(verdict: Verdict, model: Model) -> dict:
     violating = None
     if verdict.violating_event is not None:
         violating = step_to_json(TraceStep(verdict.violating_event, {}))
@@ -320,8 +320,8 @@ def verdict_to_json(verdict: Verdict, model: Model | None = None) -> dict:
             "wall_time_s": round(verdict.stats.wall_time_s, 6),
             "depth": verdict.stats.depth,
         },
-        "model_sha256": model.source_sha256 if model else None,
-        "warnings": list(model.warnings) if model else [],
+        "model_sha256": model.source_sha256,
+        "warnings": list(model.warnings),
     }
 
 

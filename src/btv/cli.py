@@ -129,10 +129,8 @@ def cmd_validate(args) -> int:
     elif error is not None:
         print(f"error: {error}", file=sys.stderr)
     else:
-        warned = any(tag == "ID_BFS_WARN" for tag, _ in report.violations)
         if report.ok:
-            suffix = "ids not BFS-ordered (warning)" if warned else "ids BFS-consistent"
-            print(f"OK: {len(tree.nodes)} nodes, {suffix}")
+            print(f"OK: {len(tree.nodes)} nodes, ids BFS-consistent")
         else:
             print(f"INVALID: {len(tree.nodes)} nodes")
         for tag, detail in report.violations:

@@ -39,8 +39,9 @@ class TickResult(Enum):
     UNKNOWN = "UNKNOWN"
 
     # Members are singletons compared by identity, so the identity hash, which
-    # runs in C, agrees with equality; Enum's own hash runs in Python and
-    # dominated the hashing of per-node result vectors.
+    # runs in C, agrees with equality; Enum's own hash runs in Python. It
+    # serves the Event keys of semantics._Automaton._compiled and the
+    # _RESULT_CODE lookups made while a transition list is built.
     __hash__ = object.__hash__
 
 

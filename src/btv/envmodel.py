@@ -150,9 +150,6 @@ class EnvSpec:
             raise UnknownVariableError(f"unknown variable {name!r}")
         return self.variables[slot]
 
-    def has(self, name: str) -> bool:
-        return name in self.slots
-
     def initial_state(self) -> "EnvState":
         for v in self.variables:
             if not v.contains(v.initial):
@@ -285,16 +282,15 @@ def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
 
 def check_invariants(spec: EnvSpec, env: EnvState | tuple) -> list[str]:
     """Names of invariant predicates that evaluate to false, in declaration
-    order, for a values tuple laid out by spec.slots or an EnvState. Only an
-    EnvState can be read by name, when its slots are not spec.slots. The
+    order, for a values tuple laid out by spec.slots or an EnvState whose
+    slots equal spec.slots; any other EnvState raises ValueError. The
     fused spec.invariants_hold decides; only when it fails are the
     invariants evaluated one by one, to name them."""
     values = env
     if not isinstance(env, tuple):
+        if env.slots != spec.slots:
+            raise ValueError("an EnvState laid out by another spec")
         values = env.values
-        if env.slots is not spec.slots:
-            # A valuation laid out by some other spec: go by name.
-            values = tuple(map(env.get, spec.slots))
     if spec.invariants_hold(values):
         return []
     return [name for name, pred in spec.invariants

@@ -576,7 +576,7 @@ def _build_env(doc: ModelDocument) -> EnvSpec:
 
 
 def _check_assignment(env: EnvSpec, a: Assignment) -> None:
-    decl = env.decl(a.name) if env.has(a.name) else None
+    decl = env.decl(a.name) if a.name in env.slots else None
     if decl is None:
         raise ElaborationError(f"{a.span}: assignment to undeclared variable {a.name!r}")
     expr_type = infer_type(a.expr, env)

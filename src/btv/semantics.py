@@ -408,11 +408,16 @@ class StatePacking:
 
 # The events whose target control code another edge may enter too: a
 # reinitialize clears every tick and result, ROOT_TICKED sets an analyzing
-# flag that an earlier cycle may have left set, and two outcome rules can
-# lead to the same code. Every other event without effects enters its
-# target from one control id only.
-_MERGING = frozenset({EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME,
-                      EventKind.ROOT_REINITIALIZE, EventKind.ROOT_TICKED})
+# flag that an earlier cycle may have left set, and two action rules can
+# lead to the same code. Any other event without effects enters its target
+# from one control id only. COND_OUTCOME, say, sets only the condition's
+# result bits and clears its parent's analyzing bit, which the parent set
+# when it ticked the condition (the root sets none, so there it stays 0).
+# After it the condition is the last ticked child of the deepest waiting
+# node, so the code after names the event, and the code before is the code
+# after with those two edits undone.
+_MERGING = frozenset({EventKind.ACT_OUTCOME, EventKind.ROOT_REINITIALIZE,
+                      EventKind.ROOT_TICKED})
 
 
 class _Automaton:
@@ -425,11 +430,11 @@ class _Automaton:
     `effects` maps it to the successor's values; either is None when the
     event has none. `shift` gives the successor's key: without effects it
     is key + shift, with effects it is shift + dot(new values, weights).
-    `store` is true when the event has effects or is in _MERGING, that is,
-    when its target may be reached twice. Any other transition is the only
-    edge into its target, from `pred[target]`, and keeps the values, so a
-    state there has exactly one predecessor state: the same values under
-    the control id `pred[target]`.
+    `store` is true when the event has effects or is in _MERGING
+    (ACT_OUTCOME, ROOT_REINITIALIZE, ROOT_TICKED): its target may be
+    reached twice. Any other transition is the only edge into its target,
+    from `pred[target]`, and keeps the values, so a state there has exactly
+    one predecessor state: the same values under `pred[target]`.
     """
 
     def __init__(self, model: Model):

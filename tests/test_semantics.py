@@ -16,7 +16,7 @@ from btv.envmodel import (
     NotOp,
     VarRef,
 )
-from btv.frontend import elaborate, parse
+from btv.frontend import bundled_model_path, elaborate, load_model, parse
 from btv.semantics import (
     DeadlockError,
     Event,
@@ -34,6 +34,7 @@ from btv.semantics import (
 )
 
 from conftest import OracleInapplicableError, reference_tick
+from randmodels import GenParams, random_model_source
 
 S, R, F, U = TickResult.SUCCESS, TickResult.RUNNING, TickResult.FAILURE, TickResult.UNKNOWN
 
@@ -205,6 +206,33 @@ def test_tick_cycle_requires_cycle_start(rw):
 def test_tick_cycle_within_step_budget(rw):
     _, _, trace = tick_cycle(rw, initial_state(rw))
     assert len(trace) <= cycle_step_budget(rw.tree)
+
+
+def test_a_cycle_fires_at_most_two_events_per_node_and_one_more():
+    """The root fires 4 events, and every other node is ticked at most once
+    and resolved at most once per cycle, so a cycle of n nodes fires at
+    most 2n + 1 events: exactly that when it ticks every node."""
+    def models():
+        for name in ("robot_wall.bt", "robot_wall_buggy.bt", "fallback_running.bt"):
+            yield load_model(bundled_model_path(name))
+        for deterministic in (True, False):
+            for params in (GenParams(deterministic=deterministic),
+                           GenParams(max_nodes=40, max_depth=8, deterministic=deterministic)):
+                for seed in range(60):
+                    yield elaborate(parse(random_model_source(seed, params)))
+
+    cycles = at_bound = 0
+    for k, model in enumerate(models()):
+        bound = 2 * len(model.tree.node_order) + 1
+        policy = random_policy(random.Random(k))
+        state = initial_state(model)
+        for _ in range(5):
+            state, _, trace = tick_cycle(model, state, policy)
+            assert len(trace) <= bound, k
+            cycles += 1
+            at_bound += len(trace) == bound
+    assert k + 1 >= 240
+    assert 0 < at_bound < cycles
 
 
 def test_fallback_running(fallback_running):

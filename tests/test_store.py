@@ -39,9 +39,32 @@ def random_models(params: GenParams, seeds, prefix: str = ""):
         yield f"{prefix}{seed}", elaborate(parse(random_model_source(seed, params)))
 
 
+# Models whose root's only child is a leaf. Under the root, a condition's
+# outcome clears the root's analyzing bit, which is 0 before and after.
+ROOT_CONDITION = """
+tree { root { condition c; } }
+env { var x: int in 0..3 = 0; }
+condition c { success_when: x <= 1; }
+on_root_result { x := x + 1; }
+invariant i { x <= 3; }
+"""
+ROOT_ACTION = """
+tree { root { action a; } }
+env { var x: int in 0..3 = 0; }
+action a {
+  outcome SUCCESS when x < 3 { x := x + 1; }
+  outcome RUNNING when x >= 1;
+  outcome RUNNING when x == 3;
+}
+invariant i { x <= 3; }
+"""
+
+
 def store_rule_models():
     for name in BUNDLED:
         yield name, load_model(bundled_model_path(name))
+    yield "root-condition", elaborate(parse(ROOT_CONDITION))
+    yield "root-action", elaborate(parse(ROOT_ACTION))
     for deterministic in (True, False):
         kind = "det" if deterministic else "nondet"
         yield from random_models(GenParams(deterministic=deterministic), range(150),
@@ -82,11 +105,13 @@ def test_store_marks_every_control_id_that_can_be_entered_twice():
                 unstored_kinds[event.kind] += 1
         assert len(auto.pred) == sum(not store for edges in into.values()
                                      for *_, store in edges), name
+        # A condition's outcome has one predecessor state, so it is never stored.
+        assert not any(store for edges in into.values() for _, event, store in edges
+                       if event.kind is EventKind.COND_OUTCOME), name
     # Every kind outside the store rule leaves some target unstored, and
     # each kind the rule names for merging does merge somewhere.
     assert set(unstored_kinds) == set(EventKind) - {
-        EventKind.COND_OUTCOME, EventKind.ACT_OUTCOME,
-        EventKind.ROOT_REINITIALIZE, EventKind.ROOT_TICKED}
+        EventKind.ACT_OUTCOME, EventKind.ROOT_REINITIALIZE, EventKind.ROOT_TICKED}
     assert {EventKind.ROOT_REINITIALIZE, EventKind.ROOT_TICKED, EventKind.ACT_OUTCOME,
             EventKind.RESULT_ARRIVED} <= set(merged_kinds)
 
