@@ -14,7 +14,7 @@ from .core import (
     validate_tree,
 )
 from .envmodel import EnvSpec, EnvState, check_invariants
-from .frontend import bundled_model_path, elaborate, load_model, parse, render_model
+from .frontend import bundled_model_path, elaborate, load_model, parse
 from .semantics import (
     Event,
     EventKind,
@@ -33,6 +33,6 @@ __all__ = [
     "MachineState", "Model", "NodeType", "Status", "TickResult", "TreeSpec",
     "ValidationReport", "Verdict", "apply_event", "bundled_model_path",
     "check_invariants", "elaborate", "enabled_events", "explore",
-    "initial_state", "load_model", "parse", "render_model", "replay",
-    "tick_cycle", "validate_tree",
+    "initial_state", "load_model", "parse", "replay", "tick_cycle",
+    "validate_tree",
 ]

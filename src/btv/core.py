@@ -3,9 +3,10 @@
 A tree is well formed when it has a single root, every other node has a
 parent, the parent graph is acyclic, and every node is reachable from the
 root. Reachability (REQ4), the breadth-first numbering and node depths all
-come from one breadth-first walk from the root over `TreeSpec.children`.
-Violations are reported, not raised, so callers can show all problems at
-once.
+come from one breadth-first walk from the root over `TreeSpec.children`,
+and a tree's n_ids must be that numbering (ID_BFS), so `node_order` is
+breadth-first. Violations are reported, not raised, so callers can show
+all problems at once.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return all(tag == "ID_BFS_WARN" for tag, _ in self.violations)
+        return not self.violations
 
     def tags(self) -> set[str]:
         return {tag for tag, _ in self.violations}
@@ -151,9 +152,9 @@ def validate_tree(spec: TreeSpec) -> ValidationReport:
     """Check Req1-Req4 plus id and arity rules; report every violation.
 
     REQ3 is cycle detection on parent edges; REQ4 is breadth-first
-    reachability from the root along the child relation. ID_BFS_WARN is
-    the only warning-level entry: ids that are unique but do not follow
-    breadth-first, left-to-right numbering.
+    reachability from the root along the child relation. ID_BFS reports
+    ids that are unique but do not follow breadth-first, left-to-right
+    numbering; it is checked only when nothing else is wrong.
     """
     v: list[tuple[str, str]] = []
     roots = [n for n in spec.node_order if spec.n_type.get(n) is NodeType.ROOT]
@@ -212,7 +213,7 @@ def validate_tree(spec: TreeSpec) -> ValidationReport:
         expected = bfs_numbering(spec)
         for n in spec.node_order:
             if spec.n_id[n] != expected[n]:
-                v.append(("ID_BFS_WARN",
+                v.append(("ID_BFS",
                           f"n_id of {n!r} is {spec.n_id[n]}, breadth-first numbering "
                           f"gives {expected[n]}"))
                 break

@@ -97,17 +97,17 @@ NODE_KINDS = {
     "action": NodeType.ACTION,
 }
 
-# The parser, renderer, evaluator and compiler recurse once per tree level
-# or expression level. The parser takes three frames per parenthesis and two
+# The parser, evaluator and compiler recurse once per tree level or
+# expression level. The parser takes three frames per parenthesis and two
 # per `!` or unary `-`, so nesting has the lower limit.
 MAX_TREE_DEPTH = 500
 MAX_EXPR_DEPTH = 100
 MAX_EXPR_NESTING = 50
 
 # Binding strength of the binary operators, loosest first, and of `!`, which
-# sits between && and the comparisons. The parser and render_expr both read
-# these. A comparison or a `!` does not chain: an operator that follows one
-# must bind more loosely.
+# sits between && and the comparisons. The parser reads these, as does the
+# test suite's renderer. A comparison or a `!` does not chain: an operator
+# that follows one must bind more loosely.
 _PREC = {"||": 1, "&&": 2, "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
          "+": 5, "-": 5}
 _NOT_PREC = 3
@@ -674,83 +674,3 @@ def load_model(path) -> Model:
 def bundled_model_path(name: str):
     """Filesystem path of a model shipped with the package (e.g. robot_wall.bt)."""
     return resources.files("btv.models").joinpath(name)
-
-
-# --- rendering (round-trip support) ------------------------------------------
-
-def render_expr(e: Expr, parent_prec: int = 0, tie: bool = False) -> str:
-    """Source text for `e` inside an operator of `parent_prec`; `tie`
-    parenthesizes an operator of that same precedence too."""
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, VarRef):
-        return e.name
-    if isinstance(e, NotOp):
-        text = "!" + render_expr(e.operand, _NOT_PREC)
-        return f"({text})" if parent_prec > _NOT_PREC else text
-    if isinstance(e, BinOp):
-        prec = _PREC[e.op]
-        text = (f"{render_expr(e.left, prec, tie=prec == _CMP_PREC)} {e.op} "
-                f"{render_expr(e.right, prec, tie=True)}")
-        if parent_prec > prec or (tie and parent_prec == prec):
-            return f"({text})"
-        return text
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def render_model(model: Model) -> str:
-    """Serialize an elaborated model back to .bt source."""
-    tree = model.tree
-    lines: list[str] = ["tree {"]
-
-    def emit_node(node: str, indent: int) -> None:
-        pad = "  " * indent
-        kind = tree.n_type[node].value.lower()
-        kids = tree.children[node]
-        head = "root" if tree.n_type[node] is NodeType.ROOT else f"{kind} {node}"
-        if kids:
-            lines.append(f"{pad}{head} {{")
-            for c in kids:
-                emit_node(c, indent + 1)
-            lines.append(f"{pad}}}")
-        else:
-            lines.append(f"{pad}{head};")
-
-    emit_node(tree.root, 1)
-    lines.append("}")
-
-    lines.append("env {")
-    for v in model.env.variables:
-        if v.is_bool:
-            init = "true" if v.initial else "false"
-            lines.append(f"  var {v.name}: bool = {init};")
-        else:
-            lines.append(f"  var {v.name}: int in {v.lo}..{v.hi} = {v.initial};")
-    lines.append("}")
-
-    for node in tree.node_order:
-        behavior = model.behaviors.get(node)
-        if isinstance(behavior, ConditionBehavior):
-            lines.append(f"condition {node} {{ success_when: "
-                         f"{render_expr(behavior.success_when)}; }}")
-        elif isinstance(behavior, ActionBehavior):
-            lines.append(f"action {node} {{")
-            for outcome in behavior.outcomes:
-                head = f"  outcome {outcome.result.value} when {render_expr(outcome.guard)}"
-                if outcome.effects:
-                    body = " ".join(f"{a.name} := {render_expr(a.expr)};"
-                                    for a in outcome.effects)
-                    lines.append(f"{head} {{ {body} }}")
-                else:
-                    lines.append(f"{head};")
-            lines.append("}")
-
-    if model.env.root_result_hook:
-        body = " ".join(f"{a.name} := {render_expr(a.expr)};"
-                        for a in model.env.root_result_hook)
-        lines.append(f"on_root_result {{ {body} }}")
-    for name, pred in model.env.invariants:
-        lines.append(f"invariant {name} {{ {render_expr(pred)}; }}")
-    return "\n".join(lines) + "\n"

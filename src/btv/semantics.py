@@ -2,10 +2,13 @@
 
 The machine state is (ticked?, result, analyzing-subtree?) per node plus the
 environment valuation. Each event is enabled by a guard over that state and
-rewrites it atomically. Control nodes advance left-to-right through their
-children by n_id. In every reachable state the ticked nodes still waiting
-for a result form one path down from the root, and only the last node on
-that path can move: all enabled events are that node's, in rule order.
+rewrites it atomically. The tree's n_ids must be its breadth-first
+numbering, so a node comes after its parent in tree.node_order and each
+node's children are consecutive there. Control nodes advance left-to-right
+through their children by n_id. In every reachable state the ticked nodes
+still waiting for a result form one path down from the root, and only the
+last node on that path can move: all enabled events are that node's, in
+rule order.
 
 A tick cycle runs from an all-unticked state until ROOT_REINITIALIZE fires;
 the root result of the cycle is the one copied up by RESULT_ARRIVED, which
@@ -20,11 +23,12 @@ bytes.translate.
 
 Only leaf outcomes read the environment, so a state's control code fixes
 its candidate events and the control code each leads to; _candidates
-states both, once per event. _Automaton interns the codes as control ids
-and builds each one's transition list once, with each guard and each
-effect list compiled to one generated function of the env values tuple
-(btv.envmodel), type-checked as it is compiled; the search,
-enabled_events, apply_event, tick_cycle and replay all step through it.
+states both, once per event. _Automaton refuses a tree whose n_ids are not
+breadth-first, interns the codes as control ids and builds each one's
+transition list once, with each guard and each effect list compiled to one
+generated function of the env values tuple (btv.envmodel), type-checked as
+it is compiled; the search, enabled_events, apply_event, tick_cycle and
+replay all step through it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter, mul
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .core import ModelError, NodeType, TickResult, TreeSpec, bfs_numbering
 from .envmodel import (
@@ -123,25 +127,6 @@ class Model:
         """The transition lists enabled_events and apply_event step through."""
         return _Automaton(self)
 
-    @cached_property
-    def _breadth_first(self) -> "_BreadthFirst":
-        """The tree in breadth-first order, which _candidates scans."""
-        nodes = tuple(bfs_numbering(self.tree))  # numbered in walk order
-        idx = self.tree.node_index
-        gather = None if nodes == self.tree.node_order else tuple(map(idx.__getitem__, nodes))
-        return _BreadthFirst(nodes, {node: i for i, node in enumerate(nodes)}, gather)
-
-
-class _BreadthFirst(NamedTuple):
-    """A tree's nodes in breadth-first order, in which every node comes
-    after its parent and each node's children are consecutive."""
-
-    nodes: tuple[str, ...]
-    position: Mapping[str, int]
-    # The code index of each node in this order; None when the n_ids are
-    # already breadth-first, as in every model loaded from a .bt file.
-    gather: tuple[int, ...] | None
-
 
 @dataclass(frozen=True)
 class MachineState:
@@ -221,22 +206,20 @@ def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None, by
     root, and only the last node on it can move, so every event belongs to
     that node. Only leaf outcomes read the environment, so this is
     everything about a state's enabled events that does not depend on the
-    valuation. In breadth-first order the last node of that path is the
-    last waiting one, and a node's children are consecutive, so both scans
-    below are one bytes.rfind.
+    valuation. The code is in breadth-first order, where the last node of
+    that path is the last waiting one and a node's children are
+    consecutive, so both scans below are one bytes.rfind.
     """
     tree = model.tree
     idx = tree.node_index
-    bfs = model._breadth_first
-    view = code if bfs.gather is None else bytes(map(code.__getitem__, bfs.gather))
-    deepest = view.translate(_WAITING_MASK).rfind(1)
-    node = tree.root if deepest < 0 else bfs.nodes[deepest]
+    deepest = code.translate(_WAITING_MASK).rfind(1)
+    node = tree.root if deepest < 0 else tree.node_order[deepest]
     # The node's last ticked child, by position in kids, or -1.
     kids = tree.children[node]
     pos = -1
     if kids:
-        first = bfs.position[kids[0]]
-        pos = view.translate(_TICKED_MASK).rfind(1, first, first + len(kids))
+        first = idx[kids[0]]
+        pos = code.translate(_TICKED_MASK).rfind(1, first, first + len(kids))
         pos = pos - first if pos >= 0 else -1
     i = idx[node]
     own = code[i]
@@ -435,9 +418,15 @@ class _Automaton:
     reached twice. Any other transition is the only edge into its target,
     from `pred[target]`, and keeps the values, so a state there has exactly
     one predecessor state: the same values under `pred[target]`.
+
+    Raises ModelError when the tree's n_ids are not its breadth-first
+    numbering, which _candidates reads the control code in.
     """
 
     def __init__(self, model: Model):
+        if bfs_numbering(model.tree) != model.tree.n_id:
+            raise ModelError("the tree's n_ids are not its breadth-first numbering "
+                             "(validate_tree reports ID_BFS)")
         self.model = model
         self.packing = StatePacking(model.env)
         self.ids: dict[bytes, int] = {}

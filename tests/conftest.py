@@ -35,6 +35,8 @@ tokenizer, kept as the oracle for btv.frontend's one-regex _tokenize.
 trace_to, with event_between and _control_delta, is the earlier
 counterexample rebuild, which unpacks every key on the path and runs each
 step's guards and effects, kept as the oracle for btv.checker._trace_to.
+render_model and render_expr write a model back as .bt source, for the
+parser's round-trip tests; they read btv.frontend's operator precedences.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from btv.envmodel import (
     compile_predicate,
     expr_variables,
 )
-from btv.frontend import ParseError
+from btv.frontend import _CMP_PREC, _NOT_PREC, _PREC, ParseError
 from btv.semantics import (
     ANALYZING,
     RESULT_BITS,
@@ -912,3 +914,83 @@ def trace_to(model: Model, auto: _Automaton, visited: dict,
         steps.append(TraceStep(event, delta))
         state = successor
     return steps
+
+
+# --- the .bt renderer, the parser's round-trip oracle -------------------------
+
+def render_expr(e: Expr, parent_prec: int = 0, tie: bool = False) -> str:
+    """Source text for `e` inside an operator of `parent_prec`; `tie`
+    parenthesizes an operator of that same precedence too."""
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, VarRef):
+        return e.name
+    if isinstance(e, NotOp):
+        text = "!" + render_expr(e.operand, _NOT_PREC)
+        return f"({text})" if parent_prec > _NOT_PREC else text
+    if isinstance(e, BinOp):
+        prec = _PREC[e.op]
+        text = (f"{render_expr(e.left, prec, tie=prec == _CMP_PREC)} {e.op} "
+                f"{render_expr(e.right, prec, tie=True)}")
+        if parent_prec > prec or (tie and parent_prec == prec):
+            return f"({text})"
+        return text
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def render_model(model: Model) -> str:
+    """Serialize an elaborated model back to .bt source."""
+    tree = model.tree
+    lines: list[str] = ["tree {"]
+
+    def emit_node(node: str, indent: int) -> None:
+        pad = "  " * indent
+        kind = tree.n_type[node].value.lower()
+        kids = tree.children[node]
+        head = "root" if tree.n_type[node] is NodeType.ROOT else f"{kind} {node}"
+        if kids:
+            lines.append(f"{pad}{head} {{")
+            for c in kids:
+                emit_node(c, indent + 1)
+            lines.append(f"{pad}}}")
+        else:
+            lines.append(f"{pad}{head};")
+
+    emit_node(tree.root, 1)
+    lines.append("}")
+
+    lines.append("env {")
+    for v in model.env.variables:
+        if v.is_bool:
+            init = "true" if v.initial else "false"
+            lines.append(f"  var {v.name}: bool = {init};")
+        else:
+            lines.append(f"  var {v.name}: int in {v.lo}..{v.hi} = {v.initial};")
+    lines.append("}")
+
+    for node in tree.node_order:
+        behavior = model.behaviors.get(node)
+        if isinstance(behavior, ConditionBehavior):
+            lines.append(f"condition {node} {{ success_when: "
+                         f"{render_expr(behavior.success_when)}; }}")
+        elif isinstance(behavior, ActionBehavior):
+            lines.append(f"action {node} {{")
+            for outcome in behavior.outcomes:
+                head = f"  outcome {outcome.result.value} when {render_expr(outcome.guard)}"
+                if outcome.effects:
+                    body = " ".join(f"{a.name} := {render_expr(a.expr)};"
+                                    for a in outcome.effects)
+                    lines.append(f"{head} {{ {body} }}")
+                else:
+                    lines.append(f"{head};")
+            lines.append("}")
+
+    if model.env.root_result_hook:
+        body = " ".join(f"{a.name} := {render_expr(a.expr)};"
+                        for a in model.env.root_result_hook)
+        lines.append(f"on_root_result {{ {body} }}")
+    for name, pred in model.env.invariants:
+        lines.append(f"invariant {name} {{ {render_expr(pred)}; }}")
+    return "\n".join(lines) + "\n"

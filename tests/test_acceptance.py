@@ -107,7 +107,7 @@ def test_criterion_4_confluence():
 
 
 def test_criterion_5_well_formedness_suite():
-    """Seven malformed shapes, each rejected with the right tag."""
+    """Eight malformed shapes, each rejected with the right tag."""
     C, A, SEQ, ROOT = (NodeType.CONDITION, NodeType.ACTION, NodeType.SEQUENCE,
                        NodeType.ROOT)
     cases = [
@@ -132,13 +132,16 @@ def test_criterion_5_well_formedness_suite():
         ("LEAF_ARITY", TreeSpec.build({"root": ROOT, "s": SEQ},
                                       {"root": 0, "s": 1},
                                       {"s": "root"})),
+        ("ID_BFS", TreeSpec.build({"root": ROOT, "s": SEQ, "c1": C, "c2": C},
+                                  {"root": 0, "s": 1, "c1": 5, "c2": 9},
+                                  {"s": "root", "c1": "s", "c2": "s"})),
     ]
     hits = 0
     for expected_tag, spec in cases:
         report_ = validate_tree(spec)
         if expected_tag in report_.tags() and not report_.ok:
             hits += 1
-    report(5, hits == 7, f"{hits}/7 shapes rejected with the expected tag")
+    report(5, hits == 8, f"{hits}/8 shapes rejected with the expected tag")
 
 
 def test_criterion_6_fallback_running_semantics():

@@ -192,7 +192,7 @@ def test_childless_sequence():
     assert "LEAF_ARITY" in validate_tree(spec).tags()
 
 
-def test_bfs_warning_is_not_an_error():
+def test_ids_that_are_not_breadth_first_are_an_error():
     spec = TreeSpec.build(
         n_type={"root": NodeType.ROOT, "s": NodeType.SEQUENCE,
                 "c1": NodeType.CONDITION, "c2": NodeType.CONDITION},
@@ -200,8 +200,8 @@ def test_bfs_warning_is_not_an_error():
         parent={"s": "root", "c1": "s", "c2": "s"},
     )
     report = validate_tree(spec)
-    assert report.ok
-    assert report.tags() == {"ID_BFS_WARN"}
+    assert not report.ok
+    assert report.tags() == {"ID_BFS"}
 
 
 def test_validate_is_pure():
@@ -327,6 +327,6 @@ def test_req4_depth_and_numbering_match_definitions(spec):
     assert [detail for tag, detail in report.violations if tag == "REQ4"] == \
         [f"node {n!r} is not reachable from the root" for n in unreachable]
 
-    if report.ok:
+    if report.tags() <= {"ID_BFS"}:
         assert spec.depth == depth_by_parent_chain(spec)
         assert bfs_numbering(spec) == numbering_by_level(spec)

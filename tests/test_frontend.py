@@ -20,12 +20,11 @@ from btv.frontend import (
     elaborate,
     load_model,
     parse,
-    render_expr,
-    render_model,
 )
 from btv.envmodel import BinOp, BoolLit, IntLit, NotOp, UnknownVariableError, VarRef
 
 import conftest
+from conftest import render_expr, render_model
 from randmodels import GenParams, random_model_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -36,7 +36,7 @@ from btv.checker import (
     step_from_json,
     verdict_to_json,
 )
-from btv.core import ModelError, TickResult, TreeSpec
+from btv.core import ModelError, TickResult, TreeSpec, bfs_numbering, validate_tree
 from btv.envmodel import (
     BinOp,
     DomainViolationError,
@@ -255,8 +255,8 @@ def test_control_codes_step_like_the_tuple_oracles():
 
 
 def with_shuffled_ids(model, seed: int):
-    """The model with its n_ids permuted: siblings may swap places and the
-    ids are no longer breadth-first (ID_BFS_WARN)."""
+    """The model with its n_ids permuted: siblings may swap places, and the
+    ids are mostly no longer breadth-first."""
     tree = model.tree
     ids = list(range(len(tree.node_order)))
     random.Random(seed).shuffle(ids)
@@ -265,19 +265,27 @@ def with_shuffled_ids(model, seed: int):
 
 
 def test_trees_without_breadth_first_ids():
+    """validate_tree reports ID_BFS for a shuffle whose ids are not
+    breadth-first, and stepping the model raises ModelError; a shuffle that
+    is still breadth-first (the identity, say) explores as spec_explore
+    does."""
     unordered = 0
     for deterministic in (True, False):
         params = GenParams(max_nodes=25, max_depth=6, deterministic=deterministic)
         for seed in range(60):
             model = with_shuffled_ids(elaborate(parse(random_model_source(seed, params))), seed)
-            unordered += model._breadth_first.gather is not None
-            with recorded_interns() as interned:
-                verdict = explore(model)
-            assert comparable(verdict, model) == comparable(spec_explore(model), model), seed
-            for code in interned:
-                ticks, results, _ = _decode_control(code)
-                assert [c[:2] for c in _candidates(model, code)] == \
-                    walk_candidates(model, ticks, results), seed
+            if model.tree.n_id == bfs_numbering(model.tree):
+                assert validate_tree(model.tree).ok, seed
+                assert comparable(explore(model), model) == \
+                    comparable(spec_explore(model), model), seed
+                continue
+            unordered += 1
+            assert validate_tree(model.tree).tags() == {"ID_BFS"}, seed
+            state = initial_state(model)
+            for step in (explore, lambda m: btv.semantics.enabled_events(m, state),
+                         lambda m: btv.semantics.tick_cycle(m, state)):
+                with pytest.raises(ModelError, match="breadth-first"):
+                    step(model)
     assert unordered > 60
 
 
