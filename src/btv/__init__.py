@@ -13,7 +13,7 @@ from .core import (
     ValidationReport,
     validate_tree,
 )
-from .envmodel import EnvSpec, EnvState, check_invariants
+from .envmodel import EnvSpec, check_invariants
 from .frontend import bundled_model_path, elaborate, load_model, parse
 from .semantics import (
     Event,
@@ -29,8 +29,8 @@ from .semantics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnvSpec", "EnvState", "Event", "EventKind", "ExploreOptions",
-    "MachineState", "Model", "NodeType", "Status", "TickResult", "TreeSpec",
+    "EnvSpec", "Event", "EventKind", "ExploreOptions", "MachineState",
+    "Model", "NodeType", "Status", "TickResult", "TreeSpec",
     "ValidationReport", "Verdict", "apply_event", "bundled_model_path",
     "check_invariants", "elaborate", "enabled_events", "explore",
     "initial_state", "load_model", "parse", "replay", "tick_cycle",

@@ -28,9 +28,8 @@ several lead there, to pick the first in rule order. Its state delta is
 read from the control codes of the nodes the event touched (all nodes only
 for ROOT_REINITIALIZE) and, when the key's values part changed, from the
 two unpacked valuations. Each discovered state's invariants are evaluated
-on its values tuple (check_invariants takes the tuple as it is); an
-EnvState is built only for on_state, which gets each state as a
-MachineState, its interned control code and an EnvState of its values.
+on its values tuple, and on_state gets each state as a MachineState of its
+interned control code and that tuple.
 replay applies a trace through the same compiled guards and effects, so it
 does not check a counterexample independently; the tests' oracles do.
 """
@@ -128,7 +127,7 @@ def explore(model: Model, options: ExploreOptions | None = None,
     span, weights = auto.packing.span, auto.packing.weights
 
     start = initial_state(model)
-    init_values = start.env.values
+    init_values = start.env
     init = auto.packing.pack(auto.intern(start.code), init_values)
     # Each stored state's key maps to the key it was first reached from.
     visited: dict[int, int | None] = {init: None}

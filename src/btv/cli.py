@@ -293,9 +293,10 @@ def _simulate(args, trace_out) -> int:
             break
         all_steps.extend(TraceStep(e, {}) for e in events)
         results.append(result)
-        snapshots.append(state.env.as_dict())
+        env = dict(zip(model.env.slots, state.env))
+        snapshots.append(env)
         if args.output == "text":
-            env_text = " ".join(f"{k}={v}" for k, v in state.env.items())
+            env_text = " ".join(f"{k}={v}" for k, v in env.items())
             print(f"cycle {cycle}: {result.value}  {env_text}")
     payload = {
         "status": "SIMULATED" if not failed else "ABORTED",

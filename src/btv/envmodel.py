@@ -135,7 +135,8 @@ class EnvSpec:
 
     @cached_property
     def slots(self) -> Mapping[str, int]:
-        """Variable name -> position in an EnvState's values tuple."""
+        """Variable name -> position in a valuation's values tuple, which
+        holds the values in declaration order."""
         return {v.name: i for i, v in enumerate(self.variables)}
 
     @cached_property
@@ -150,11 +151,12 @@ class EnvSpec:
             raise UnknownVariableError(f"unknown variable {name!r}")
         return self.variables[slot]
 
-    def initial_state(self) -> "EnvState":
+    def initial_state(self) -> tuple:
+        """The values tuple of the initial values."""
         for v in self.variables:
             if not v.contains(v.initial):
                 raise DomainViolationError(v.name, v.initial)
-        return EnvState(tuple(v.initial for v in self.variables), self.slots)
+        return tuple(v.initial for v in self.variables)
 
     def domain_product_size(self, names: Iterable[str]) -> int:
         """Number of valuations of the named variables."""
@@ -172,32 +174,6 @@ class EnvSpec:
         """All valuations of the given variables over their domains, as
         values tuples in the order of `names`."""
         return product(*self.domains(names))
-
-
-@dataclass(frozen=True)
-class EnvState:
-    """A concrete valuation: the values in declaration order.
-
-    `slots` maps each name to its position. It is shared with the EnvSpec
-    the state came from and takes no part in equality or hashing, so two
-    valuations are equal exactly when their values tuples are.
-    """
-
-    values: tuple[int | bool, ...]
-    slots: Mapping[str, int] = field(compare=False, repr=False)
-
-    def get(self, name: str):
-        slot = self.slots.get(name)
-        if slot is None:
-            raise UnknownVariableError(f"unknown variable {name!r}")
-        return self.values[slot]
-
-    def items(self) -> tuple[tuple[str, int | bool], ...]:
-        """(name, value) pairs in declaration order."""
-        return tuple(zip(self.slots, self.values))
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.slots, self.values))
 
 
 # --- leaf behaviors --------------------------------------------------------
@@ -273,24 +249,18 @@ def expr_variables(e: Expr) -> set[str]:
     return set()
 
 
-def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
-                  *, wrap: bool = False) -> EnvState:
-    """Apply assignments to a valuation laid out by spec.slots, with
+def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], values: tuple,
+                  *, wrap: bool = False) -> tuple:
+    """The values tuple, laid out by spec.slots, after the assignments, with
     compile_effects' semantics."""
-    return EnvState(compile_effects(spec, effects, wrap=wrap)(env.values), env.slots)
+    return compile_effects(spec, effects, wrap=wrap)(values)
 
 
-def check_invariants(spec: EnvSpec, env: EnvState | tuple) -> list[str]:
+def check_invariants(spec: EnvSpec, values: tuple) -> list[str]:
     """Names of invariant predicates that evaluate to false, in declaration
-    order, for a values tuple laid out by spec.slots or an EnvState whose
-    slots equal spec.slots; any other EnvState raises ValueError. The
-    fused spec.invariants_hold decides; only when it fails are the
-    invariants evaluated one by one, to name them."""
-    values = env
-    if not isinstance(env, tuple):
-        if env.slots != spec.slots:
-            raise ValueError("an EnvState laid out by another spec")
-        values = env.values
+    order, for a values tuple laid out by spec.slots. The fused
+    spec.invariants_hold decides; only when it fails are the invariants
+    evaluated one by one, to name them."""
     if spec.invariants_hold(values):
         return []
     return [name for name, pred in spec.invariants

@@ -445,9 +445,14 @@ class _Parser:
         return ActionDecl(name.text, outcomes, name.span)
 
     def parse_assignments(self) -> list[Assignment]:
-        out = []
+        out, assigned = [], {}
         while not self.at("}"):
             name = self.expect_name()
+            if name.text in assigned:
+                raise ParseError(name.line, name.col,
+                                 f"duplicate assignment to {name.text!r} in one block "
+                                 f"(first assigned at {assigned[name.text]})")
+            assigned[name.text] = name.span
             self.expect(":=")
             expr = self.parse_expr()
             self.expect(";")

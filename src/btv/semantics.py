@@ -44,7 +44,6 @@ from .core import ModelError, NodeType, TickResult, TreeSpec, bfs_numbering
 from .envmodel import (
     DomainViolationError,
     EnvSpec,
-    EnvState,
     Expr,
     LeafBehavior,
     NotOp,
@@ -131,10 +130,11 @@ class Model:
 @dataclass(frozen=True)
 class MachineState:
     """The control code, one byte per node in tree.node_order, plus the
-    environment. ticks, results and analyzing are decoded from the code."""
+    environment's values tuple, laid out by model.env.slots. ticks, results
+    and analyzing are decoded from the code."""
 
     code: bytes
-    env: EnvState
+    env: tuple
 
     @property
     def ticks(self) -> tuple[bool, ...]:
@@ -290,7 +290,7 @@ def enabled_events(model: Model, state: MachineState) -> list[Event]:
     Defined on states reached from initial_state: the derivation in
     _candidates relies on the shape those states have.
     """
-    values = state.env.values
+    values = state.env
     return [event for event, test, _, _, _, _ in _transitions(model, state)
             if test is None or test(values)]
 
@@ -301,7 +301,7 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
     Raises EventNotEnabledError when the guard does not hold (a scheduler
     bug) and DomainViolationError when an action effect leaves a domain.
     """
-    values = state.env.values
+    values = state.env
     for event, test, apply, nxt, _, _ in _transitions(model, state):
         if event == e and (test is None or test(values)):
             return model.automaton.decode((nxt, *(values if apply is None else apply(values))))
@@ -480,7 +480,7 @@ class _Automaton:
 
     def decode(self, state: tuple) -> MachineState:
         """The MachineState of a (control id, *values) tuple."""
-        return MachineState(self.controls[state[0]], EnvState(state[1:], self.model.env.slots))
+        return MachineState(self.controls[state[0]], state[1:])
 
 
 # --- schedulers and cycles --------------------------------------------------

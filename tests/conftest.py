@@ -6,7 +6,8 @@ friends), and steps every
 state, in the search, simulation and replay alike, through the compiled
 transition lists of btv.semantics._Automaton, over control codes of one
 byte per node. eval_expr, eval_predicate and apply_effects here are a
-tree-walking evaluator of the same expressions, and enabled_events,
+tree-walking evaluator of the same expressions, which reads variables by
+name from the mapping named() makes of a values tuple, and enabled_events,
 apply_event and _fire step MachineState objects with it; the tests hold
 the tool's generated functions and event API to them. _candidates, _fire_control and
 _state_delta are the tool's earlier derivation of a state's events, next
@@ -42,7 +43,7 @@ parser's round-trip tests; they read btv.frontend's operator precedences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import pytest
 
@@ -58,7 +59,6 @@ from btv.envmodel import (
     ConditionBehavior,
     DomainViolationError,
     EnvSpec,
-    EnvState,
     ExhaustivenessError,
     ExpressionTypeError,
     Expr,
@@ -105,13 +105,19 @@ def fallback_running() -> Model:
 
 # --- the tree-walking evaluator and event machine -----------------------------
 
-def eval_expr(e: Expr, env: EnvState):
+def named(spec: EnvSpec, values: tuple) -> dict:
+    """A values tuple laid out by spec.slots as {name: value}: the form the
+    evaluator here reads variables in, by name."""
+    return dict(zip(spec.slots, values))
+
+
+def eval_expr(e: Expr, env: Mapping):
     if isinstance(e, IntLit):
         return e.value
     if isinstance(e, BoolLit):
         return e.value
     if isinstance(e, VarRef):
-        return env.get(e.name)
+        return env[e.name]
     if isinstance(e, NotOp):
         return not eval_expr(e.operand, env)
     if isinstance(e, BinOp):
@@ -140,27 +146,27 @@ def eval_expr(e: Expr, env: EnvState):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_predicate(p: Expr, env: EnvState) -> bool:
+def eval_predicate(p: Expr, env: Mapping) -> bool:
     value = eval_expr(p, env)
     if not isinstance(value, bool):
         raise ExpressionTypeError(f"predicate evaluated to non-boolean {value!r}")
     return value
 
 
-def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], env: EnvState,
-                  *, wrap: bool = False) -> EnvState:
+def apply_effects(spec: EnvSpec, effects: Iterable[Assignment], values: tuple,
+                  *, wrap: bool = False) -> tuple:
     """Apply assignments with simultaneous-read, sequential-write semantics.
 
-    Every right-hand side is evaluated against the incoming env, then values
-    are written in listed order. Out-of-domain integer results raise
-    DomainViolationError, or wrap into the domain when `wrap` is set (used
-    for root-result hooks).
+    Every right-hand side is evaluated against the incoming values, then
+    values are written by name in listed order. Out-of-domain integer
+    results raise DomainViolationError, or wrap into the domain when `wrap`
+    is set (used for root-result hooks).
     """
+    env = named(spec, values)
     staged = [(a.name, eval_expr(a.expr, env)) for a in effects]
-    out = list(env.values)
     for name, value in staged:
-        out[env.slots[name]] = domain_checked(spec.decl(name), value, wrap)
-    return EnvState(tuple(out), env.slots)
+        env[name] = domain_checked(spec.decl(name), value, wrap)
+    return tuple(env[v.name] for v in spec.variables)
 
 
 def domain_checked(decl, value, wrap: bool):
@@ -180,7 +186,8 @@ def enabled_events(model: Model, state: MachineState) -> list[Event]:
     _candidates relies on the shape those states have.
     """
     return [e for e, guard in _candidates(model, state.ticks, state.results)
-            if guard is None or eval_predicate(guard[0], state.env) == guard[1]]
+            if guard is None
+            or eval_predicate(guard[0], named(model.env, state.env)) == guard[1]]
 
 
 def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
@@ -343,8 +350,9 @@ def _state_delta(model: Model, before: MachineState, after: MachineState) -> dic
             continue
         delta[label] = {node: a.value if isinstance(a, TickResult) else a
                         for node, b, a in zip(order, b_vec, a_vec) if b != a}
-    env_changed = {name: after_v for (name, after_v), before_v
-                   in zip(after.env.items(), before.env.values) if after_v != before_v}
+    before_env = named(model.env, before.env)
+    env_changed = {name: value for name, value in named(model.env, after.env).items()
+                   if value != before_env[name]}
     if env_changed:
         delta["env"] = env_changed
     return delta
@@ -471,7 +479,7 @@ def spec_explore(model: Model, options: ExploreOptions | None = None,
 
     def broken(state):
         return [name for name, pred in model.env.invariants
-                if not eval_predicate(pred, state.env)]
+                if not eval_predicate(pred, named(model.env, state.env))]
 
     def finish(status, bad_state=None, **fields):
         trace = None if bad_state is None else _spec_trace(model, parents, bad_state)
@@ -668,7 +676,7 @@ class OracleInapplicableError(ModelError):
     pass
 
 
-def reference_tick(model: Model, env: EnvState) -> tuple[TickResult, EnvState]:
+def reference_tick(model: Model, values: tuple) -> tuple[TickResult, tuple]:
     """Classic recursive tick, used only as an oracle for the event machine.
 
     Sequences run children left-to-right until a non-SUCCESS result;
@@ -679,14 +687,15 @@ def reference_tick(model: Model, env: EnvState) -> tuple[TickResult, EnvState]:
     """
     tree = model.tree
 
-    def tick(node: str, env: EnvState) -> tuple[TickResult, EnvState]:
+    def tick(node: str, values: tuple) -> tuple[TickResult, tuple]:
         ntype = tree.n_type[node]
         if ntype is NodeType.ROOT:
-            return tick(tree.children[node][0], env)
+            return tick(tree.children[node][0], values)
+        env = named(model.env, values)
         if ntype is NodeType.CONDITION:
             behavior = model.behaviors[node]
             ok = eval_predicate(behavior.success_when, env)
-            return (TickResult.SUCCESS if ok else TickResult.FAILURE), env
+            return (TickResult.SUCCESS if ok else TickResult.FAILURE), values
         if ntype is NodeType.ACTION:
             behavior = model.behaviors[node]
             live = [o for o in behavior.outcomes if eval_predicate(o.guard, env)]
@@ -694,17 +703,17 @@ def reference_tick(model: Model, env: EnvState) -> tuple[TickResult, EnvState]:
                 raise OracleInapplicableError(
                     f"action {node!r} has {len(live)} enabled outcomes; oracle "
                     "requires exactly one")
-            return live[0].result, apply_effects(model.env, live[0].effects, env)
+            return live[0].result, apply_effects(model.env, live[0].effects, values)
         stop = TickResult.SUCCESS if ntype is NodeType.SEQUENCE else TickResult.FAILURE
         for child in tree.children[node]:
-            result, env = tick(child, env)
+            result, values = tick(child, values)
             if result is not stop:
-                return result, env
-        return stop, env
+                return result, values
+        return stop, values
 
-    result, env = tick(tree.root, env)
-    env = apply_effects(model.env, model.env.root_result_hook, env, wrap=True)
-    return result, env
+    result, values = tick(tree.root, values)
+    values = apply_effects(model.env, model.env.root_result_hook, values, wrap=True)
+    return result, values
 
 
 def cycle_outcomes(model: Model, start: MachineState) -> set[tuple[TickResult, tuple]]:
@@ -726,7 +735,8 @@ def cycle_outcomes(model: Model, start: MachineState) -> set[tuple[TickResult, t
             for event in enabled_events(model, state):
                 successor = apply_event(model, state, event)
                 if event.kind is EventKind.ROOT_REINITIALIZE:
-                    outcomes.add((state.results[root_index], successor.env.items()))
+                    outcomes.add((state.results[root_index],
+                                  tuple(named(model.env, successor.env).items())))
                     continue
                 if successor not in seen:
                     seen.add(successor)

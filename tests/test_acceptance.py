@@ -16,6 +16,7 @@ from conftest import (
     cycle_outcomes,
     machine_invariant_checker,
     naive_reachable,
+    named,
     reference_tick,
 )
 from randmodels import random_model_source
@@ -33,11 +34,11 @@ def test_criterion_1_case_study_holds():
     started = time.perf_counter()
     model = load_model(bundled_model_path("robot_wall.bt"))
     assert model.env.decl("time").hi == 100
-    assert model.env.initial_state().get("distance_to_object") == 10
+    assert named(model.env, model.env.initial_state())["distance_to_object"] == 10
     verdict = explore(model)
     elapsed = time.perf_counter() - started
     oracle_states = naive_reachable(model)
-    min_distance = min(s.env.get("distance_to_object") for s in oracle_states)
+    min_distance = min(named(model.env, s.env)["distance_to_object"] for s in oracle_states)
     ok = (verdict.status is Status.HOLDS
           and verdict.states_explored == len(oracle_states)
           and min_distance == 4
@@ -55,10 +56,10 @@ def test_criterion_2_mutation_detected():
     elapsed = time.perf_counter() - started
     final = replay(model, verdict.counterexample)
     shortest = bfs_depth_of_first(
-        model, lambda s: s.env.get("distance_to_object") < 3)
+        model, lambda s: named(model.env, s.env)["distance_to_object"] < 3)
     ok = (verdict.status is Status.VIOLATED
           and verdict.violated_invariant == "safe"
-          and final.env.get("distance_to_object") == 2
+          and named(model.env, final.env)["distance_to_object"] == 2
           and len(verdict.counterexample) == shortest
           and elapsed < 5.0)
     report(2, ok, f"VIOLATED on 'safe', counterexample length "

@@ -19,14 +19,15 @@ from btv.envmodel import DomainViolationError
 from btv.frontend import elaborate, parse
 from btv.semantics import Event, EventKind, apply_event, initial_state
 
-from conftest import bfs_depth_of_first, cycle_outcomes, naive_reachable, no_dedup_states
+from conftest import (bfs_depth_of_first, cycle_outcomes, naive_reachable, named,
+                      no_dedup_states)
 from randmodels import GenParams, random_model_source
 
 S, F = TickResult.SUCCESS, TickResult.FAILURE
 
 
-def min_distance(states):
-    return min(s.env.get("distance_to_object") for s in states)
+def min_distance(model, states):
+    return min(named(model.env, s.env)["distance_to_object"] for s in states)
 
 
 def test_holds_and_agrees_with_naive_oracle(robot_wall):
@@ -35,7 +36,7 @@ def test_holds_and_agrees_with_naive_oracle(robot_wall):
     assert verdict.status is Status.HOLDS
     assert verdict.states_explored == len(oracle_states) == 761
     assert verdict.counterexample is None
-    assert min_distance(oracle_states) == 4
+    assert min_distance(robot_wall, oracle_states) == 4
 
 
 def test_fallback_running_state_count(fallback_running):
@@ -49,13 +50,13 @@ def test_violation_names_invariant_and_replays(robot_wall_buggy):
     assert verdict.status is Status.VIOLATED
     assert verdict.violated_invariant == "safe"
     final = replay(robot_wall_buggy, verdict.counterexample)
-    assert final.env.get("distance_to_object") == 2
+    assert named(robot_wall_buggy.env, final.env)["distance_to_object"] == 2
 
 
 def test_counterexample_is_bfs_minimal(robot_wall_buggy):
     verdict = explore(robot_wall_buggy)
     shortest = bfs_depth_of_first(
-        robot_wall_buggy, lambda s: s.env.get("distance_to_object") < 3)
+        robot_wall_buggy, lambda s: named(robot_wall_buggy.env, s.env)["distance_to_object"] < 3)
     assert len(verdict.counterexample) == shortest == 69
 
 
@@ -94,7 +95,7 @@ def test_domain_violation_detected_with_replayable_prefix():
     assert verdict.violating_event.kind is EventKind.ACT_OUTCOME
     # prefix replays cleanly to the state the violating event fires from
     state = replay(model, verdict.counterexample)
-    assert state.env.get("x") == 0
+    assert named(model.env, state.env)["x"] == 0
     with pytest.raises(DomainViolationError) as err:
         apply_event(model, state, verdict.violating_event)
     assert err.value.name == "x"
@@ -210,7 +211,7 @@ def test_trace_json_round_trip(robot_wall_buggy, tmp_path):
     assert sha == robot_wall_buggy.source_sha256
     assert events == [s.event for s in verdict.counterexample]
     final = replay(robot_wall_buggy, events, trace_sha256=sha)
-    assert final.env.get("distance_to_object") == 2
+    assert named(robot_wall_buggy.env, final.env)["distance_to_object"] == 2
 
 
 def test_step_json_round_trip():

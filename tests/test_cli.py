@@ -20,6 +20,8 @@ from btv.cli import main
 from btv.core import validate_tree
 from btv.frontend import MAX_TREE_DEPTH
 
+from conftest import named
+
 ROBOT_WALL = str(bundled_model_path("robot_wall.bt"))
 BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
 # `btv check robot_wall_buggy.bt --output json` without stats.wall_time_s.
@@ -33,6 +35,9 @@ GOLDEN_SIMULATION = Path(__file__).parent / "golden" / "robot_wall.simulate.json
 # `btv validate robot_wall.bt --output json`, byte for byte; CI diffs the
 # installed entry point's output against it too.
 GOLDEN_VALIDATION = Path(__file__).parent / "golden" / "robot_wall.validate.json"
+# `btv simulate robot_wall.bt`, byte for byte: one line per cycle, naming
+# three variables in declaration order; CI diffs against it too.
+GOLDEN_SIMULATION_TEXT = Path(__file__).parent / "golden" / "robot_wall.simulate.txt"
 
 
 def run(capsys, *argv):
@@ -127,7 +132,7 @@ def test_check_trace_out_replays(capsys, tmp_path):
             assert out == trace_path.read_text(encoding="utf-8") + "\n"
         events, sha = load_trace_file(trace_path)
         final = replay(model, events, trace_sha256=sha)
-        assert final.env.get("distance_to_object") == 2
+        assert named(model.env, final.env)["distance_to_object"] == 2
 
 
 def test_check_json_matches_the_golden_verdict(capsys):
@@ -158,6 +163,12 @@ def test_simulate_json_matches_the_golden_simulation(capsys):
     code, out, _ = run(capsys, "simulate", ROBOT_WALL, "--output", "json")
     assert code == 0
     assert out == GOLDEN_SIMULATION.read_text(encoding="utf-8")
+
+
+def test_simulate_text_matches_the_golden_simulation(capsys):
+    code, out, err = run(capsys, "simulate", ROBOT_WALL)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SIMULATION_TEXT.read_text(encoding="utf-8")
 
 
 json_values = st.recursive(
@@ -261,7 +272,7 @@ def test_simulate_trace_out_replays(capsys, tmp_path):
             assert out == trace_path.read_text(encoding="utf-8") + "\n"
         events, sha = load_trace_file(trace_path)
         final = replay(model, events, trace_sha256=sha)
-        assert final.env.get("time") == 3
+        assert named(model.env, final.env)["time"] == 3
 
 
 def test_simulate_json_output(capsys):
@@ -301,7 +312,8 @@ def test_simulate_aborts_on_a_domain_violation(capsys, tmp_path, output):
     # The trace ends just before the violating event.
     events, sha = load_trace_file(trace_path)
     assert events[-1].describe() == "ROOT_TICKED root -> a"
-    assert replay(load_model(str(path)), events, trace_sha256=sha).env.get("x") == 2
+    model = load_model(str(path))
+    assert named(model.env, replay(model, events, trace_sha256=sha).env)["x"] == 2
 
 
 def test_usage_error_exit_code(capsys):
@@ -404,6 +416,29 @@ def test_skipped_exhaustiveness_is_reported(capsys, tmp_path):
     trace = tmp_path / "verdict.json"
     run(capsys, "check", str(path), "--trace-out", str(trace))
     assert json.loads(trace.read_text())["warnings"] == json.loads(out)["warnings"]
+
+
+def test_a_domain_wider_than_sys_maxsize(capsys, tmp_path):
+    """len() of such a range raises OverflowError; no command may take it."""
+    path = tmp_path / "huge.bt"
+    path.write_text("""
+    tree { root { action a; } }
+    env { var x: int in 0..99999999999999999999 = 0; }
+    action a { outcome SUCCESS when x >= 0 { x := x + 1; } }
+    invariant small { x < 3; }
+    """)
+    assert 10**20 > sys.maxsize
+    warning = ("warning: action 'a': outcome exhaustiveness not checked, its guards "
+               "range over 100000000000000000000 valuations of x (limit 1000000)\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (0, "OK: 2 nodes, ids BFS-consistent\n", warning)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (1, warning)
+    assert out.startswith("VIOLATED: small\n  invariant 'small' is false after 13 "
+                          "transitions\n  states explored: 14, transitions: 13\n")
+    code, out, _ = run(capsys, "simulate", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "cycle 10: SUCCESS  x=10"
 
 
 def test_validate_and_check_read_a_file_alike(capsys, tmp_path):

@@ -8,7 +8,6 @@ from btv.envmodel import (
     BoolLit,
     DomainViolationError,
     EnvSpec,
-    EnvState,
     ExhaustivenessError,
     ExpressionTypeError,
     IntLit,
@@ -31,11 +30,7 @@ from btv.envmodel import (
 from btv.core import TickResult
 from btv.frontend import _Parser
 import conftest
-from conftest import eval_expr, eval_predicate, naive_exhaustiveness
-
-
-def env_of(**values):
-    return EnvState(tuple(values.values()), {n: i for i, n in enumerate(values)})
+from conftest import eval_expr, eval_predicate, naive_exhaustiveness, named
 
 
 def spec_of(*decls, invariants=(), hook=()):
@@ -45,28 +40,28 @@ def spec_of(*decls, invariants=(), hook=()):
 DIST = VarDecl("distance_to_object", 0, 10, 10)
 
 
-def evaluate(pred, env):
+def evaluate(pred, **env):
     """The tool's value of `pred` in `env`, compiled against a spec whose
     domains are just the values given."""
     spec = spec_of(*(VarDecl(n, None, None, v) if isinstance(v, bool) else VarDecl(n, v, v, v)
                      for n, v in env.items()))
-    return compile_predicate(pred, spec)(env.values)
+    return compile_predicate(pred, spec)(tuple(env.values()))
 
 
 def test_eval_distance_threshold():
     pred = BinOp(">=", VarRef("distance_to_object"), IntLit(5))
-    assert evaluate(pred, env_of(distance_to_object=10)) is True
-    assert evaluate(pred, env_of(distance_to_object=4)) is False
+    assert evaluate(pred, distance_to_object=10) is True
+    assert evaluate(pred, distance_to_object=4) is False
 
 
 def test_eval_boundary_of_ge():
     pred = BinOp(">=", VarRef("x"), IntLit(5))
-    assert evaluate(pred, env_of(x=5)) is True
+    assert evaluate(pred, x=5) is True
 
 
 def test_eval_boolean_identity():
     pred = NotOp(BinOp("&&", VarRef("a"), VarRef("b")))
-    assert evaluate(pred, env_of(a=True, b=False)) is True
+    assert evaluate(pred, a=True, b=False) is True
 
 
 def test_eval_unknown_variable():
@@ -79,35 +74,34 @@ def test_apply_effects_decrement():
     out = apply_effects(spec, [Assignment("distance_to_object",
                                           BinOp("-", VarRef("distance_to_object"),
                                                 IntLit(1)))],
-                        env_of(distance_to_object=10))
-    assert out.get("distance_to_object") == 9
+                        (10,))
+    assert out == (9,)
 
 
 def test_apply_effects_empty():
-    env = env_of(distance_to_object=7)
-    assert apply_effects(spec_of(DIST), [], env) == env
+    assert apply_effects(spec_of(DIST), [], (7,)) == (7,)
 
 
 def test_apply_effects_simultaneous_read():
     spec = spec_of(VarDecl("x", 0, 9, 1), VarDecl("y", 0, 9, 2))
     out = apply_effects(spec, [Assignment("x", VarRef("y")),
                                Assignment("y", VarRef("x"))],
-                        env_of(x=1, y=2))
-    assert out.as_dict() == {"x": 2, "y": 1}
+                        (1, 2))
+    assert out == (2, 1)
 
 
 def test_apply_effects_does_not_mutate_input():
     spec = spec_of(VarDecl("x", 0, 9, 0))
-    env = env_of(x=3)
-    apply_effects(spec, [Assignment("x", IntLit(5))], env)
-    assert env.get("x") == 3
+    values = (3,)
+    assert apply_effects(spec, [Assignment("x", IntLit(5))], values) == (5,)
+    assert values == (3,)
 
 
 def test_apply_effects_domain_violation():
     spec = spec_of(VarDecl("x", 0, 3, 0))
     with pytest.raises(DomainViolationError) as err:
         apply_effects(spec, [Assignment("x", BinOp("-", VarRef("x"), IntLit(1)))],
-                      env_of(x=0))
+                      (0,))
     assert err.value.name == "x"
     assert err.value.value == -1
 
@@ -115,22 +109,22 @@ def test_apply_effects_domain_violation():
 def test_apply_effects_wrap_mode():
     spec = spec_of(VarDecl("t", 0, 100, 0))
     out = apply_effects(spec, [Assignment("t", BinOp("+", VarRef("t"), IntLit(1)))],
-                        env_of(t=100), wrap=True)
-    assert out.get("t") == 0
+                        (100,), wrap=True)
+    assert out == (0,)
 
 
 def test_apply_effects_bool_assignment():
     spec = spec_of(VarDecl("f", None, None, False))
-    out = apply_effects(spec, [Assignment("f", NotOp(VarRef("f")))], env_of(f=False))
-    assert out.get("f") is True
+    out = apply_effects(spec, [Assignment("f", NotOp(VarRef("f")))], (False,))
+    assert out == (True,) and out[0] is True
 
 
 def test_check_invariants_case_study():
     safe = ("safe", BinOp(">=", VarRef("distance_to_object"), IntLit(3)))
     spec = spec_of(DIST, invariants=[safe])
-    assert check_invariants(spec, env_of(distance_to_object=4)) == []
-    assert check_invariants(spec, env_of(distance_to_object=2)) == ["safe"]
-    assert check_invariants(spec_of(DIST), env_of(distance_to_object=0)) == []
+    assert check_invariants(spec, (4,)) == []
+    assert check_invariants(spec, (2,)) == ["safe"]
+    assert check_invariants(spec_of(DIST), (0,)) == []
 
 
 def test_exhaustiveness_rejects_false_guard():
@@ -256,8 +250,8 @@ def to_python(e) -> str:
 @given(bool_exprs, st.integers(-20, 20), st.integers(-20, 20))
 @settings(max_examples=300)
 def test_eval_matches_cpython(expr, x, y):
-    env = env_of(x=x, y=y)
-    expected = eval(to_python(expr), {}, {"x": x, "y": y})
+    env = {"x": x, "y": y}
+    expected = eval(to_python(expr), {}, env)
     assert eval_expr(expr, env) == expected
 
 
@@ -292,7 +286,7 @@ def outcome(fn, *args):
 @given(st.one_of(int_exprs, typed_bool_exprs), valuations)
 @settings(max_examples=300)
 def test_compiled_expressions_match_evaluator(expr, values):
-    env = EnvState(values, XYF.slots)
+    env = named(XYF, values)
     assert outcome(compile_expr(expr, XYF), values) == outcome(eval_expr, expr, env)
     if infer_type(expr, XYF) == "bool":
         assert outcome(compile_predicate(expr, XYF), values) == \
@@ -320,18 +314,13 @@ FALSE_AT_1_M2_T = [BinOp("<", VarRef("x"), IntLit(0)), VarRef("f"),
 @example(FALSE_AT_1_M2_T[:3], (1, -2, True))
 @settings(max_examples=300)
 def test_fused_invariants_name_the_false_ones_in_order(preds, values):
-    """A values tuple laid out by spec.slots, an EnvState over the same
-    slots and one over a copy of them all name the same invariants; an
-    EnvState laid out by other slots (reversed) is refused, not misread."""
+    """check_invariants names the invariants the evaluator finds false, in
+    declaration order, and the fused predicate holds exactly when it names
+    none."""
     spec = spec_of(*XYF.variables, invariants=[(f"inv{k}", p) for k, p in enumerate(preds)])
-    env = EnvState(values, spec.slots)
+    env = named(spec, values)
     expected = [name for name, p in spec.invariants if not eval_predicate(p, env)]
     assert check_invariants(spec, values) == expected
-    assert check_invariants(spec, env) == expected
-    assert check_invariants(spec, EnvState(values, dict(spec.slots))) == expected
-    reversed_slots = {name: k for k, name in enumerate(reversed(spec.slots))}
-    with pytest.raises(ValueError):
-        check_invariants(spec, EnvState(values[::-1], reversed_slots))
     assert outcome(spec.invariants_hold, values) == (bool, not expected)
 
 
@@ -364,9 +353,8 @@ assignments = st.lists(
 def test_compiled_effects_match_apply_effects(effects, values, wrap):
     spec = spec_of(VarDecl("x", 0, 4, 0), VarDecl("y", -2, 2, 0),
                    VarDecl("f", None, None, False))
-    env = EnvState(values, spec.slots)
     compiled = outcome(compile_effects(spec, effects, wrap=wrap), values)
-    expected = outcome(lambda: conftest.apply_effects(spec, effects, env, wrap=wrap).values)
+    expected = outcome(lambda: conftest.apply_effects(spec, effects, values, wrap=wrap))
     assert compiled == expected
 
 
@@ -506,8 +494,7 @@ def test_compile_mask_matches_evaluator(model, k):
     slots = {n: i for i, n in enumerate(outer)}
     rows = list(spec.valuations(outer))
     for row in rows[::len(rows) // 20 + 1]:
-        envs = [EnvState(tuple({**dict(zip(outer, row)), z: v}[n] for n in names),
-                         spec.slots) for v in domain]
+        envs = [{**dict(zip(outer, row)), z: v} for v in domain]
         for o in behavior.outcomes:
             for e in (o.guard, *_subexpressions(o.guard)):
                 want = [eval_expr(e, env) for env in envs]
@@ -516,7 +503,7 @@ def test_compile_mask_matches_evaluator(model, k):
                     assert mask == sum(1 << i for i, holds in enumerate(want) if holds)
                 else:
                     form = _linear(e)
-                    assert [sum(c * (env.get(v) if v else 1) for v, c in form.items())
+                    assert [sum(c * (env[v] if v else 1) for v, c in form.items())
                             for env in envs] == want
 
 

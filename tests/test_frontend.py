@@ -24,7 +24,7 @@ from btv.frontend import (
 from btv.envmodel import BinOp, BoolLit, IntLit, NotOp, UnknownVariableError, VarRef
 
 import conftest
-from conftest import render_expr, render_model
+from conftest import named, render_expr, render_model
 from randmodels import GenParams, random_model_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -67,6 +67,34 @@ def test_parse_duplicate_node_name_reports_both_spans():
     message = str(err.value)
     assert "dup" in message
     assert "first declared at" in message
+
+
+TWICE_ASSIGNED = """tree { root { action a; } }
+env { var x: int in 0..3 = 3; var y: int in 0..3 = 0; }
+action a { outcome SUCCESS when true { x := x + 1; x := 0; } }
+"""
+
+
+def test_a_variable_assigned_twice_in_an_outcome_is_refused_with_both_spans():
+    """Every target of one multiple assignment is distinct: the block
+    above would report x := 4 leaving the domain, a value never written."""
+    with pytest.raises(ParseError) as err:
+        parse(TWICE_ASSIGNED)
+    assert (err.value.line, err.value.col) == (3, 52)
+    assert str(err.value) == \
+        "3:52: duplicate assignment to 'x' in one block (first assigned at 3:40)"
+
+
+def test_a_variable_assigned_twice_in_the_hook_is_refused_with_both_spans():
+    src = TWICE_ASSIGNED.replace("x := x + 1; x := 0;", "x := 0;") + \
+        "on_root_result {\n  y := y + 1;\n  x := 1;\n  y := 0;\n}\n"
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == \
+        "7:3: duplicate assignment to 'y' in one block (first assigned at 5:3)"
+    # Distinct targets, each once per block, still parse.
+    model = elaborate(parse(src.replace("y := 0;", "")))
+    assert [a.name for a in model.env.root_result_hook] == ["y", "x"]
 
 
 def nested_source(tree_depth: int, pred: str) -> str:
@@ -379,7 +407,7 @@ def test_comments_and_negative_bounds():
     """
     model = elaborate(parse(src))
     assert model.env.decl("x").lo == -5
-    assert model.env.initial_state().get("x") == -2
+    assert named(model.env, model.env.initial_state())["x"] == -2
 
 
 # --- round-trips ---------------------------------------------------------------

@@ -41,7 +41,6 @@ from btv.envmodel import (
     BinOp,
     DomainViolationError,
     EnvSpec,
-    EnvState,
     IntLit,
     VarDecl,
     VarRef,
@@ -64,6 +63,7 @@ from conftest import (
     enabled_events,
     eval_predicate,
     naive_reachable,
+    named,
     priority_key,
     spec_explore,
     walk_candidates,
@@ -187,14 +187,14 @@ def test_simultaneous_breaks_name_the_first_declared(init, steps):
     assert verdict.status is Status.VIOLATED
     assert verdict.violated_invariant == "zeta"
     assert len(verdict.counterexample) == steps
-    assert replay(model, verdict.counterexample).env.get("x") == 2
+    assert named(model.env, replay(model, verdict.counterexample).env)["x"] == 2
     assert comparable(verdict, model) == \
         comparable(spec_explore(model, on_state=oracle_seen.append), model)
-    # on_state still gets MachineStates over EnvStates laid out by the spec.
+    # on_state gets MachineStates over values tuples laid out by the spec.
     assert seen == oracle_seen
     for state in seen:
-        assert type(state) is MachineState and type(state.env) is EnvState
-        assert state.env.slots is model.env.slots
+        assert type(state) is MachineState and type(state.env) is tuple
+        assert len(state.env) == len(model.env.slots)
 
 
 def deeper_random_models():
@@ -321,7 +321,7 @@ def test_every_counterexample_replays_through_the_trace_file(tmp_path):
         state = replay(model, events, trace_sha256=sha256)
         if verdict.status is Status.VIOLATED:
             pred = dict(model.env.invariants)[verdict.violated_invariant]
-            assert not eval_predicate(pred, state.env), name
+            assert not eval_predicate(pred, named(model.env, state.env)), name
         elif verdict.status is Status.DEADLOCK:
             assert enabled_events(model, state) == [], name
         else:
@@ -439,7 +439,7 @@ def test_decoded_state_steps_like_a_hand_built_one(case):
     for state in states:
         assert state.code is not None
         hand = MachineState(_encode_control(state.ticks, state.results, state.analyzing),
-                            EnvState(state.env.values, model.env.slots))
+                            state.env)
         assert hand == state and hash(hand) == hash(state)
         events = btv.semantics.enabled_events(model, state)
         assert btv.semantics.enabled_events(model, hand) == events

@@ -33,7 +33,7 @@ from btv.semantics import (
     tick_cycle,
 )
 
-from conftest import OracleInapplicableError, reference_tick
+from conftest import OracleInapplicableError, named, reference_tick
 from randmodels import GenParams, random_model_source
 
 S, R, F, U = TickResult.SUCCESS, TickResult.RUNNING, TickResult.FAILURE, TickResult.UNKNOWN
@@ -85,7 +85,7 @@ def test_initial_state_shape(rw):
     assert all(not t for t in state.ticks)
     assert all(r is U for r in state.results)
     assert all(not a for a in state.analyzing)
-    assert state.env.get("distance_to_object") == 10
+    assert named(rw.env, state.env)["distance_to_object"] == 10
 
 
 def test_only_tick_root_enabled_initially(rw):
@@ -110,9 +110,9 @@ def test_success_cycle_event_chain(rw):
     for expected_event in expected:
         assert only_enabled(rw, state) == expected_event
         state = apply_event(rw, state, expected_event)
-    assert state.env.get("distance_to_object") == 9
-    assert state.env.get("time") == 1
-    assert state.env.get("prev_time") == 0
+    assert named(rw.env, state.env)["distance_to_object"] == 9
+    assert named(rw.env, state.env)["time"] == 1
+    assert named(rw.env, state.env)["prev_time"] == 0
     assert all(r is U for r in state.results)
     assert all(not t for t in state.ticks)
 
@@ -162,7 +162,7 @@ def test_apply_action_outcome_bundles_result_effect_and_flag(rw):
     assert state.analyzing[seq_i] is True
     after = apply_event(rw, state, Event(EventKind.ACT_OUTCOME, "action_1",
                                          outcome=(S, 0)))
-    assert after.env.get("distance_to_object") == 9
+    assert named(rw.env, after.env)["distance_to_object"] == 9
     assert after.results[act_i] is S
     assert after.analyzing[seq_i] is False
 
@@ -187,13 +187,13 @@ def test_tick_cycle_success_then_failure():
     model = elaborate(parse(robot_wall_src(initial=10)))
     state, result, trace = tick_cycle(model, initial_state(model))
     assert result is S
-    assert state.env.get("distance_to_object") == 9
+    assert named(model.env, state.env)["distance_to_object"] == 9
     assert len(trace) == 9
 
     low = elaborate(parse(robot_wall_src(initial=4)))
     state, result, trace = tick_cycle(low, initial_state(low))
     assert result is F
-    assert state.env.get("distance_to_object") == 4
+    assert named(low.env, state.env)["distance_to_object"] == 4
     assert len(trace) == 7
 
 
@@ -238,7 +238,7 @@ def test_a_cycle_fires_at_most_two_events_per_node_and_one_more():
 def test_fallback_running(fallback_running):
     state, result, _ = tick_cycle(fallback_running, initial_state(fallback_running))
     assert result is R
-    assert state.env.get("progress") == 1
+    assert named(fallback_running.env, state.env)["progress"] == 1
 
 
 def test_deadlock_on_non_exhaustive_action(rw):
@@ -300,7 +300,7 @@ def test_guard_at_the_compiled_depth_limit_runs(rw):
                                    "action_1": ActionBehavior((ActionOutcome(guard, S),))})
     state, result, _ = tick_cycle(deep, initial_state(deep))
     assert result is S  # an even number of `!` around a true comparison
-    assert state.env.get("distance_to_object") == 10
+    assert named(deep.env, state.env)["distance_to_object"] == 10
 
 
 def test_random_policy_reproducible(rw):
@@ -367,7 +367,7 @@ def test_reference_sequence_second_condition_false():
 def test_reference_case_study(rw):
     result, env = reference_tick(rw, rw.env.initial_state())
     assert result is S
-    assert env.get("distance_to_object") == 9
+    assert named(rw.env, env)["distance_to_object"] == 9
 
 
 def test_reference_rejects_nondeterministic_leaf(rw):

@@ -228,7 +228,7 @@ def test_counterexamples_through_unstored_states():
                         raise AssertionError(f"{seed}: the violating event stays in domain")
                 else:
                     pred = dict(model.env.invariants)[verdict.violated_invariant]
-                    assert not conftest.eval_predicate(pred, state.env), seed
+                    assert not conftest.eval_predicate(pred, conftest.named(model.env, state.env)), seed
                 unstored = [unstored for unstored, _, _ in step_shapes(model, trace)]
                 cases[verdict.status, bool(unstored and unstored[-1]),
                       any(unstored[:-1])] += 1
