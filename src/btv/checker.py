@@ -51,7 +51,6 @@ from .semantics import (
     MachineState,
     Model,
     _Automaton,
-    _control_delta,
     apply_event,
     initial_state,
 )
@@ -225,7 +224,9 @@ def _trace_to(model: Model, auto: _Automaton, visited: dict,
     parent control id's one transition into the child's; only when several
     lead there are guards and effects run, to pick the first in rule order
     that gives the child's values. Keys are unpacked only for that and for
-    the env delta, which a step whose values part is unchanged lacks.
+    the env delta, which a step whose values part is unchanged lacks. The
+    control delta is read from the bytes of the nodes the event touched,
+    found through the automaton's node table (_Automaton.control_delta).
     """
     span, pred, table, controls = auto.packing.span, auto.pred, auto.table, auto.controls
     unpack = auto.packing.unpack
@@ -241,7 +242,9 @@ def _trace_to(model: Model, auto: _Automaton, visited: dict,
         else:
             pcid, prest = divmod(parent, span)
         same = prest == rest
-        arrows = [t for t in table[pcid] if t[3] == cid]
+        arrows = table[pcid]
+        if len(arrows) > 1:
+            arrows = [t for t in arrows if t[3] == cid]
         if values is None and (len(arrows) > 1 or not same):
             values = unpack(key)[1:]
         pvalues = values if same else unpack(parent)[1:]
@@ -251,7 +254,7 @@ def _trace_to(model: Model, auto: _Automaton, visited: dict,
             event = next(event for event, test, apply, *_ in arrows
                          if (test is None or test(pvalues))
                          and (pvalues if apply is None else apply(pvalues)) == values)
-        delta = _control_delta(model, event, controls[pcid], controls[cid])
+        delta = auto.control_delta(event, controls[pcid], controls[cid])
         if not same:
             delta["env"] = {name: a for name, b, a in zip(names, pvalues, values)
                             if a != b}

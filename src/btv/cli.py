@@ -271,6 +271,7 @@ def cmd_simulate(args) -> int:
 
 def _simulate(args, trace_out) -> int:
     model = load_model(args.model)
+    _print_warnings(model.warnings)
     if args.policy == "random":
         policy = random_policy(random.Random(args.seed))
     else:

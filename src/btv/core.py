@@ -41,8 +41,9 @@ class TickResult(Enum):
 
     # Members are singletons compared by identity, so the identity hash, which
     # runs in C, agrees with equality; Enum's own hash runs in Python. It
-    # serves the Event keys of semantics._Automaton._compiled and the
-    # _RESULT_CODE lookups made while a transition list is built.
+    # serves the _RESULT_CODE lookups made while a leaf's rows are built
+    # (semantics._Automaton._leaf_rows) and the hash of any Event, whose
+    # outcome holds a TickResult.
     __hash__ = object.__hash__
 
 

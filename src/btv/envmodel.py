@@ -7,10 +7,11 @@ rules; guards must cover every reachable valuation, which is checked by
 enumeration at load time when the guards' variables span few enough
 valuations.
 
-compile_expr, compile_predicate, compile_conjunction and compile_effects
-type-check an expression or assignment list and turn it into one generated
-Python function of a values tuple: every guard, every effect list and each
-model's invariants, fused into one predicate, are evaluated by such a
+compile_expr, compile_predicate, compile_conjunction, compile_condition
+and compile_effects type-check an expression or assignment list and turn it
+into one generated Python function of a values tuple (compile_condition
+into two, a predicate and its negation): every guard, every effect list and
+each model's invariants, fused into one predicate, are evaluated by such a
 function, and the tests hold them to a tree-walking evaluator. Each literal
 and slot index in the generated source is a parameter, so expressions of one
 shape share one code object, compiled once. compile_mask, their row form,
@@ -429,13 +430,17 @@ def compile_expr(e: Expr, spec: EnvSpec) -> Compiled:
     return src.function("expression", [f"return {src.expr(e)}"])
 
 
+def _check_boolean(p: Expr, spec: EnvSpec) -> None:
+    if _typed(p, spec) != "bool":
+        raise ExpressionTypeError(_at(p.span, "predicate is not boolean"))
+
+
 def compile_conjunction(preds: Sequence[Expr], spec: EnvSpec) -> Callable[[tuple], bool]:
     """compile_expr of the conjunction of `preds`: one function that is
     True when all of them hold, and always for none. A predicate that is not
     boolean is an ExpressionTypeError."""
     for p in preds:
-        if _typed(p, spec) != "bool":
-            raise ExpressionTypeError(_at(p.span, "predicate is not boolean"))
+        _check_boolean(p, spec)
     src = _Source(spec)
     return src.function("predicate", ["return " + (" and ".join(map(src.expr, preds)) or "True")])
 
@@ -443,6 +448,18 @@ def compile_conjunction(preds: Sequence[Expr], spec: EnvSpec) -> Callable[[tuple
 def compile_predicate(p: Expr, spec: EnvSpec) -> Callable[[tuple], bool]:
     """compile_conjunction of the one predicate `p`."""
     return compile_conjunction((p,), spec)
+
+
+def compile_condition(p: Expr, spec: EnvSpec
+                      ) -> tuple[Callable[[tuple], bool], Callable[[tuple], bool]]:
+    """compile_predicate of `p` and of its negation, `not (p)`: a
+    condition's SUCCESS and FAILURE tests, from one type check and one
+    rendering of `p`."""
+    _check_boolean(p, spec)
+    src = _Source(spec)
+    body = src.expr(p)
+    return (src.function("predicate", [f"return {body}"]),
+            src.function("predicate", [f"return not {body}"]))
 
 
 def compile_effects(spec: EnvSpec, effects: Iterable[Assignment], *,

@@ -22,13 +22,15 @@ edits one or two of those bytes, and ROOT_REINITIALIZE is one
 bytes.translate.
 
 Only leaf outcomes read the environment, so a state's control code fixes
-its candidate events and the control code each leads to; _candidates
-states both, once per event. _Automaton refuses a tree whose n_ids are not
-breadth-first, interns the codes as control ids and builds each one's
-transition list once, with each guard and each effect list compiled to one
-generated function of the env values tuple (btv.envmodel), type-checked as
-it is compiled; the search, enabled_events, apply_event, tick_cycle and
-replay all step through it.
+its candidate events and the control code each leads to. _Automaton
+refuses a tree whose n_ids are not breadth-first, interns the codes as
+control ids and builds each one's transition list once; the search,
+enabled_events, apply_event, tick_cycle and replay all step through it.
+What does not depend on the code it builds once per tree (a node table)
+or once per leaf (the leaf's events with their guards and effects
+compiled to generated functions of the env values tuple, btv.envmodel);
+per code it only finds the node that can move and edits copies of the
+code.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from .core import ModelError, NodeType, TickResult, TreeSpec, bfs_numbering
 from .envmodel import (
     DomainViolationError,
     EnvSpec,
-    Expr,
     LeafBehavior,
-    NotOp,
+    compile_condition,
     compile_effects,
     compile_predicate,
 )
@@ -157,6 +158,8 @@ RESULT_BITS = 6
 ANALYZING = 8
 _RESULT_CODE = {TickResult.UNKNOWN: 0, TickResult.SUCCESS: 2,
                 TickResult.FAILURE: 4, TickResult.RUNNING: 6}
+_SUCCESS_BITS, _FAILURE_BITS, _RUNNING_BITS = (
+    _RESULT_CODE[r] for r in (TickResult.SUCCESS, TickResult.FAILURE, TickResult.RUNNING))
 # Each field of a node, indexed by its byte.
 _TICKED_OF = tuple(bool(c & TICKED) for c in range(16))
 _RESULT_OF = tuple({code: r for r, code in _RESULT_CODE.items()}[c & RESULT_BITS]
@@ -183,102 +186,6 @@ def initial_state(model: Model) -> MachineState:
     return MachineState(bytes(len(model.tree.node_order)), model.env.initial_state())
 
 
-# An outcome event's guard: the predicate and the value it must have. Control
-# events need none; they depend on the control code alone.
-Guard = tuple[Expr, bool]
-
-
-def _edit(code: bytes, *edits: tuple[int, int, int]) -> bytes:
-    """`code` with, for each (i, clear, bits), byte i's `clear` bits cleared
-    and its `bits` set."""
-    out = bytearray(code)
-    for i, clear, bits in edits:
-        out[i] = out[i] & ~clear | bits
-    return bytes(out)
-
-
-def _candidates(model: Model, code: bytes) -> list[tuple[Event, Guard | None, bytes]]:
-    """Events the control code allows, each with the environment guard it
-    still needs (None for control events) and the control code it leads
-    to, in rule order.
-
-    The ticked nodes still waiting for a result form one path down from the
-    root, and only the last node on it can move, so every event belongs to
-    that node. Only leaf outcomes read the environment, so this is
-    everything about a state's enabled events that does not depend on the
-    valuation. The code is in breadth-first order, where the last node of
-    that path is the last waiting one and a node's children are
-    consecutive, so both scans below are one bytes.rfind.
-    """
-    tree = model.tree
-    idx = tree.node_index
-    deepest = code.translate(_WAITING_MASK).rfind(1)
-    node = tree.root if deepest < 0 else tree.node_order[deepest]
-    # The node's last ticked child, by position in kids, or -1.
-    kids = tree.children[node]
-    pos = -1
-    if kids:
-        first = idx[kids[0]]
-        pos = code.translate(_TICKED_MASK).rfind(1, first, first + len(kids))
-        pos = pos - first if pos >= 0 else -1
-    i = idx[node]
-    own = code[i]
-    ntype = tree.n_type[node]
-
-    if ntype is NodeType.ROOT:
-        if not own & TICKED:
-            return [(Event(EventKind.TICK_ROOT, node), None, _edit(code, (i, 0, TICKED)))]
-        if own & RESULT_BITS:
-            return [(Event(EventKind.ROOT_REINITIALIZE, node), None,
-                     code.translate(_REINITIALIZED))]
-        if pos < 0:
-            return [(Event(EventKind.ROOT_TICKED, node, kids[0]), None,
-                     _edit(code, (idx[kids[0]], 0, TICKED | ANALYZING)))]
-        child = idx[kids[pos]]
-        return [(Event(EventKind.RESULT_ARRIVED, node, kids[pos]), None,
-                 _edit(code, (i, RESULT_BITS, code[child] & RESULT_BITS)))]
-
-    # Any other node either records its result and clears its parent's
-    # analyzing flag, or ticks a child and becomes analyzing.
-    parent = idx[tree.parent[node]]
-
-    def resolve(result: TickResult) -> bytes:
-        return _edit(code, (i, RESULT_BITS, _RESULT_CODE[result]), (parent, ANALYZING, 0))
-
-    def tick(child: str) -> bytes:
-        return _edit(code, (idx[child], 0, TICKED), (i, 0, ANALYZING))
-
-    if ntype is NodeType.CONDITION:
-        pred = model.behaviors[node].success_when
-        return [(Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.SUCCESS, 0)),
-                 (pred, True), resolve(TickResult.SUCCESS)),
-                (Event(EventKind.COND_OUTCOME, node, outcome=(TickResult.FAILURE, 1)),
-                 (pred, False), resolve(TickResult.FAILURE))]
-
-    if ntype is NodeType.ACTION:
-        return [(Event(EventKind.ACT_OUTCOME, node, outcome=(outcome.result, rule_i)),
-                 (outcome.guard, True), resolve(outcome.result))
-                for rule_i, outcome in enumerate(model.behaviors[node].outcomes)]
-
-    # A sequence moves on to its next child after a SUCCESS, a fallback after
-    # a FAILURE; any other result of the last child is the node's own.
-    seq = ntype is NodeType.SEQUENCE
-    if pos < 0:
-        kind = EventKind.SEQ_INITIAL if seq else EventKind.FB_INITIAL
-        return [(Event(kind, node, kids[0]), None, tick(kids[0]))]
-    last = _RESULT_OF[code[idx[kids[pos]]]]
-    if last is TickResult.RUNNING:
-        kind = EventKind.SEQ_RUNNING if seq else EventKind.FB_RUNNING
-    elif last is not (TickResult.SUCCESS if seq else TickResult.FAILURE):
-        kind = EventKind.SEQ_FAILURE if seq else EventKind.FB_SUCCESS
-    elif pos + 1 < len(kids):
-        kind = EventKind.SEQ_CONTINUE if seq else EventKind.FB_CONTINUE
-        return [(Event(kind, node, kids[pos + 1]), None, tick(kids[pos + 1]))]
-    else:
-        kind = EventKind.SEQ_SUCCESS if seq else EventKind.FB_FAILURE
-    return [(Event(kind, node), None, resolve(last))]
-
-
 def _transitions(model: Model, state: MachineState) -> list:
     auto = model.automaton
     return auto.transitions(auto.intern(state.code))
@@ -288,7 +195,7 @@ def enabled_events(model: Model, state: MachineState) -> list[Event]:
     """All events whose guard holds, in rule order.
 
     Defined on states reached from initial_state: the derivation in
-    _candidates relies on the shape those states have.
+    _Automaton._moves relies on the shape those states have.
     """
     values = state.env
     return [event for event, test, _, _, _, _ in _transitions(model, state)
@@ -310,42 +217,13 @@ def apply_event(model: Model, state: MachineState, e: Event) -> MachineState:
 
 # The per-node fields of a counterexample's state delta, in key order:
 # label, the field's bits in a node's byte, and its JSON value by byte.
+_RESULT_VALUE_OF = tuple(r.value for r in _RESULT_OF)
+_REINITIALIZE = EventKind.ROOT_REINITIALIZE
 _DELTA_FIELDS = (
     ("n_tick", TICKED, _TICKED_OF),
-    ("n_result", RESULT_BITS, tuple(r.value for r in _RESULT_OF)),
+    ("n_result", RESULT_BITS, _RESULT_VALUE_OF),
     ("analyzing_subtree", ANALYZING, _ANALYZING_OF),
 )
-
-
-def _control_delta(model: Model, event: Event, before: bytes, after: bytes) -> dict:
-    """The per-node fields `event` changed, from the control codes around it.
-
-    Only ROOT_REINITIALIZE changes bytes other than those of the event's
-    node, its child and its node's parent, so only it compares every node.
-    Any other event changes each field of at most one node, so the order
-    in which those three are read does not show in the delta.
-    """
-    tree = model.tree
-    if event.kind is EventKind.ROOT_REINITIALIZE:
-        touched = [i for i, (b, a) in enumerate(zip(before, after)) if b != a]
-    else:
-        idx = tree.node_index
-        touched = [idx[event.node]]
-        if event.child is not None:
-            touched.append(idx[event.child])
-        if event.node in tree.parent:
-            touched.append(idx[tree.parent[event.node]])
-    order = tree.node_order
-    delta: dict = {}
-    for label, bits, value_of in _DELTA_FIELDS:
-        for i in touched:
-            if (before[i] ^ after[i]) & bits:
-                if label in delta:
-                    delta[label][order[i]] = value_of[after[i]]
-                else:
-                    delta[label] = {order[i]: value_of[after[i]]}
-    return delta
-
 
 # --- the compiled transition system -------------------------------------------
 
@@ -389,6 +267,18 @@ class StatePacking:
         return tuple(reversed(values))
 
 
+# What a sequence and a fallback do, by the result of their last ticked
+# child: the event that ticks their first child, the event that ticks the
+# next one, the result bits on which they go on to it, and, by result bits,
+# the event that makes the last child's result their own once they do not
+# go on (or have no next child).
+_SEQUENCE_EVENTS = (EventKind.SEQ_INITIAL, EventKind.SEQ_CONTINUE, _SUCCESS_BITS,
+                    {_SUCCESS_BITS: EventKind.SEQ_SUCCESS, _FAILURE_BITS: EventKind.SEQ_FAILURE,
+                     _RUNNING_BITS: EventKind.SEQ_RUNNING})
+_FALLBACK_EVENTS = (EventKind.FB_INITIAL, EventKind.FB_CONTINUE, _FAILURE_BITS,
+                    {_SUCCESS_BITS: EventKind.FB_SUCCESS, _FAILURE_BITS: EventKind.FB_FAILURE,
+                     _RUNNING_BITS: EventKind.FB_RUNNING})
+
 # The events whose target control code another edge may enter too: a
 # reinitialize clears every tick and result, ROOT_TICKED sets an analyzing
 # flag that an earlier cycle may have left set, and two action rules can
@@ -419,12 +309,29 @@ class _Automaton:
     from `pred[target]`, and keeps the values, so a state there has exactly
     one predecessor state: the same values under `pred[target]`.
 
+    Each part of the work is done once per automaton, once per leaf or
+    once per code. Per automaton: the node table, by node index in
+    tree.node_order: each node's name, type, parent index, first child
+    index and child count (the children are consecutive) and, for a
+    sequence or fallback, its events (_SEQUENCE_EVENTS, _FALLBACK_EVENTS);
+    and, at the first RESULT_ARRIVED, the root-result hook's compiled
+    effects. Per leaf, at its first move: its rows, one per outcome rule,
+    of event, compiled guard, compiled effects and result bits; a
+    condition's predicate is type-checked and rendered once for both of
+    its tests (compile_condition). Per code, in _moves: the one node that
+    can move and its last ticked child, each with a bytes.translate and a
+    bytes.rfind, that node's events, and each successor code as a copy
+    with one or two bytes edited. control_delta reads a counterexample
+    step's per-node delta through the same table.
+
     Raises ModelError when the tree's n_ids are not its breadth-first
-    numbering, which _candidates reads the control code in.
+    numbering, which the node table and _moves rely on, or when a sequence
+    or fallback has no child to tick.
     """
 
     def __init__(self, model: Model):
-        if bfs_numbering(model.tree) != model.tree.n_id:
+        tree = model.tree
+        if bfs_numbering(tree) != tree.n_id:
             raise ModelError("the tree's n_ids are not its breadth-first numbering "
                              "(validate_tree reports ID_BFS)")
         self.model = model
@@ -434,7 +341,25 @@ class _Automaton:
         self.table: list[list | None] = []
         # The one predecessor control id of each unstored target built so far.
         self.pred: dict[int, int] = {}
-        self._compiled: dict[Event, tuple] = {}
+        # The node table. The root is node 0, with no parent (-1).
+        idx = tree.node_index
+        self.names: tuple[str, ...] = tree.node_order
+        self.index: Mapping[str, int] = idx
+        self.types = tuple(map(tree.n_type.__getitem__, self.names))
+        kids = tuple(map(tree.children.__getitem__, self.names))
+        self.child_count = tuple(map(len, kids))
+        self.first_child = tuple(idx[k[0]] if k else 0 for k in kids)
+        self.parents = (-1, *map(idx.__getitem__, map(tree.parent.__getitem__, self.names[1:])))
+        sequence, fallback = NodeType.SEQUENCE, NodeType.FALLBACK
+        self.control_events = tuple(_SEQUENCE_EVENTS if t is sequence else
+                                    _FALLBACK_EVENTS if t is fallback else None
+                                    for t in self.types)
+        for name, events, count in zip(self.names, self.control_events, self.child_count):
+            if events is not None and not count:
+                raise ModelError(f"control node {name!r} has no children "
+                                 "(validate_tree reports LEAF_ARITY)")
+        # Each leaf's rows, by node index, once it has moved.
+        self.rows: list[list | None] = [None] * len(self.names)
 
     def intern(self, code: bytes) -> int:
         cid = self.ids.get(code)
@@ -447,11 +372,9 @@ class _Automaton:
     def transitions(self, cid: int) -> list:
         out = self.table[cid]
         if out is None:
-            model, code = self.model, self.controls[cid]
             span, base = self.packing.span, self.packing.base
             out = []
-            for event, guard, successor in _candidates(model, code):
-                test, apply = self._compile(event, guard)
+            for event, test, apply, successor in self._moves(self.controls[cid]):
                 nxt = self.intern(successor)
                 shift = (nxt - cid) * span if apply is None else nxt * span + base
                 store = apply is not None or event.kind in _MERGING
@@ -461,22 +384,136 @@ class _Automaton:
             self.table[cid] = out
         return out
 
-    def _compile(self, event: Event, guard: Guard | None) -> tuple:
-        compiled = self._compiled.get(event)
-        if compiled is None:
-            env = self.model.env
-            test = None
-            if guard is not None:
-                pred, wanted = guard
-                test = compile_predicate(pred if wanted else NotOp(pred, pred.span), env)
-            effects, wrap = (), False
-            if event.kind is EventKind.RESULT_ARRIVED:
-                effects, wrap = env.root_result_hook, True
-            elif event.kind is EventKind.ACT_OUTCOME:
-                effects = self.model.behaviors[event.node].outcomes[event.outcome[1]].effects
-            apply = compile_effects(env, effects, wrap=wrap) if effects else None
-            compiled = self._compiled[event] = (test, apply)
-        return compiled
+    def _moves(self, code: bytes) -> list[tuple]:
+        """(event, guard, effects, successor code) for each event the
+        control code allows, in rule order.
+
+        The ticked nodes still waiting for a result form one path down from
+        the root, and only the last node on it can move, so every event
+        belongs to that node. Only leaf outcomes read the environment, so
+        this is everything about a state's enabled events that does not
+        depend on the valuation. The code is in breadth-first order, where
+        the last node of that path is the last waiting one and a node's
+        children are consecutive, so both scans below are one bytes.rfind.
+        """
+        i = code.translate(_WAITING_MASK).rfind(1)
+        if i < 0:  # none waiting: the root, node 0
+            i = 0
+        own = code[i]
+        name = self.names[i]
+        edit = bytearray(code)
+        first = self.first_child[i]
+        # The node's last ticked child, or -1.
+        last = code.translate(_TICKED_MASK).rfind(1, first, first + self.child_count[i])
+
+        if i == 0:
+            if not own & TICKED:
+                edit[0] = own | TICKED
+                return [(Event(EventKind.TICK_ROOT, name), None, None, bytes(edit))]
+            if own & RESULT_BITS:
+                return [(Event(EventKind.ROOT_REINITIALIZE, name), None, None,
+                         code.translate(_REINITIALIZED))]
+            if last < 0:
+                edit[first] |= TICKED | ANALYZING
+                return [(Event(EventKind.ROOT_TICKED, name, self.names[first]), None, None,
+                         bytes(edit))]
+            edit[0] = own | code[last] & RESULT_BITS
+            return [(Event(EventKind.RESULT_ARRIVED, name, self.names[last]), None,
+                     self.hook, bytes(edit))]
+
+        # Any other node either records its result and clears its parent's
+        # analyzing flag, or ticks a child and becomes analyzing. The node
+        # is waiting, so its result bits are 0.
+        control = self.control_events[i]
+        if control is None:
+            rows = self.rows[i]
+            if rows is None:
+                rows = self._leaf_rows(i)
+            edit[self.parents[i]] &= ~ANALYZING
+            moves = []
+            for event, test, apply, bits in rows:
+                edit[i] = own | bits
+                moves.append((event, test, apply, bytes(edit)))
+            return moves
+
+        tick_first, tick_next, goes_on, resolve = control
+        if last < 0:
+            kind, child = tick_first, first
+        else:
+            result = code[last] & RESULT_BITS
+            if result != goes_on or last + 1 == first + self.child_count[i]:
+                edit[i] = own | result
+                edit[self.parents[i]] &= ~ANALYZING
+                return [(Event(resolve[result], name), None, None, bytes(edit))]
+            kind, child = tick_next, last + 1
+        edit[child] |= TICKED
+        edit[i] = own | ANALYZING
+        return [(Event(kind, name, self.names[child]), None, None, bytes(edit))]
+
+    def _leaf_rows(self, i: int) -> list[tuple]:
+        """(event, guard, effects, result bits) for each outcome rule of leaf
+        i, in rule order, with its guard and effects compiled; built once."""
+        name, env = self.names[i], self.model.env
+        behavior = self.model.behaviors[name]
+        if self.types[i] is NodeType.CONDITION:
+            success, failure = compile_condition(behavior.success_when, env)
+            rows = [(Event(EventKind.COND_OUTCOME, name, outcome=(TickResult.SUCCESS, 0)),
+                     success, None, _SUCCESS_BITS),
+                    (Event(EventKind.COND_OUTCOME, name, outcome=(TickResult.FAILURE, 1)),
+                     failure, None, _FAILURE_BITS)]
+        else:
+            rows = [(Event(EventKind.ACT_OUTCOME, name, outcome=(outcome.result, rule_i)),
+                     compile_predicate(outcome.guard, env),
+                     compile_effects(env, outcome.effects) if outcome.effects else None,
+                     _RESULT_CODE[outcome.result])
+                    for rule_i, outcome in enumerate(behavior.outcomes)]
+        self.rows[i] = rows
+        return rows
+
+    @cached_property
+    def hook(self) -> Callable[[tuple], tuple] | None:
+        """The root-result hook's compiled effects, which wrap into the
+        domains; None for a model without one."""
+        env = self.model.env
+        return compile_effects(env, env.root_result_hook, wrap=True) \
+            if env.root_result_hook else None
+
+    def control_delta(self, event: Event, before: bytes, after: bytes) -> dict:
+        """The per-node fields `event` changed, by field and then in node
+        order, from the control codes around it.
+
+        Only ROOT_REINITIALIZE changes bytes other than those of the event's
+        node and its child, or its node and its parent, so only it compares
+        every node. Any other event changes each field of at most one node:
+        its edits in _moves set the child's tick (and, under the root, the
+        child's analyzing flag) and the node's analyzing flag, or the
+        node's tick or result and the parent's analyzing flag.
+        """
+        names = self.names
+        delta = {}
+        if event.kind is _REINITIALIZE:
+            for label, bits, value_of in _DELTA_FIELDS:
+                fields = {names[j]: value_of[a] for j, (b, a) in enumerate(zip(before, after))
+                          if (b ^ a) & bits}
+                if fields:
+                    delta[label] = fields
+            return delta
+        # The two nodes whose bytes the event may change: its node i and
+        # its child, or its parent (the root, node 0, has none).
+        i = self.index[event.node]
+        j = self.index[event.child] if event.child is not None else self.parents[i] if i else i
+        changed_i, changed_j = before[i] ^ after[i], before[j] ^ after[j]
+        changed = changed_i | changed_j
+        if changed & TICKED:
+            k = i if changed_i & TICKED else j
+            delta["n_tick"] = {names[k]: _TICKED_OF[after[k]]}
+        if changed & RESULT_BITS:
+            k = i if changed_i & RESULT_BITS else j
+            delta["n_result"] = {names[k]: _RESULT_VALUE_OF[after[k]]}
+        if changed & ANALYZING:
+            k = i if changed_i & ANALYZING else j
+            delta["analyzing_subtree"] = {names[k]: _ANALYZING_OF[after[k]]}
+        return delta
 
     def decode(self, state: tuple) -> MachineState:
         """The MachineState of a (control id, *values) tuple."""

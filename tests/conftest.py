@@ -12,7 +12,8 @@ apply_event and _fire step MachineState objects with it; the tests hold
 the tool's generated functions and event API to them. _candidates, _fire_control and
 _state_delta are the tool's earlier derivation of a state's events, next
 control vectors and counterexample deltas over (ticks, results, analyzing)
-tuples, kept as the oracles for their byte-code versions; _encode_control
+tuples, kept as the oracles for the transition lists _Automaton builds
+over control codes and for its deltas; _encode_control
 packs such vectors into the control code a MachineState holds.
 control_graph walks them eagerly, guards ignored, into every reachable
 control code with the edges into it: the oracle for which transitions the
@@ -23,7 +24,8 @@ codes with the tool, and the checker has something independent to be
 compared against.
 walk_candidates and priority_key are the still earlier every-node
 derivation of a state's events and the deterministic policy's old key,
-kept as the oracles for _candidates and deterministic_policy.
+kept as the oracles for _Automaton's events and guards and for
+deterministic_policy.
 reference_tick is a deliberately separate implementation of a tick (plain
 recursion, no events), and cycle_outcomes collects every outcome of one
 cycle's interleavings; both cross-check the event machine.
@@ -80,12 +82,16 @@ from btv.semantics import (
     Event,
     EventKind,
     EventNotEnabledError,
-    Guard,
     MachineState,
     Model,
     _Automaton,
     initial_state,
 )
+
+
+# An outcome event's guard: the predicate and the value it must have. Control
+# events need none; they depend on the control code alone.
+Guard = tuple[Expr, bool]
 
 
 @pytest.fixture(scope="session")
@@ -546,7 +552,7 @@ def _spec_trace(model: Model, parents, target) -> list[TraceStep]:
     return steps
 
 
-# --- the every-node walk that semantics._candidates replaced -----------------
+# --- the every-node walk that the one-node derivation replaced --------------
 
 # EventKind declaration order: the walk's order between nodes.
 _KIND_ORDER = {k: i for i, k in enumerate(EventKind)}
@@ -573,7 +579,7 @@ def _last_ticked_child(tree: TreeSpec, ticks: tuple, node: str) -> str | None:
 
 
 def walk_candidates(model: Model, ticks: tuple, results: tuple) -> list:
-    """semantics._candidates as a literal reading of each event's guard: test
+    """_candidates as a literal reading of each event's guard: test
     every node of the tree, then sort what was found by event_sort_key."""
     tree = model.tree
     idx = tree.node_index

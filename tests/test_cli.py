@@ -29,6 +29,11 @@ BUGGY = str(bundled_model_path("robot_wall_buggy.bt"))
 GOLDEN_BUGGY_VERDICT = Path(__file__).parent / "golden" / "robot_wall_buggy.check.json"
 # The same for the HOLDS verdict of `btv check robot_wall.bt --output json`.
 GOLDEN_HOLDS_VERDICT = Path(__file__).parent / "golden" / "robot_wall.check.json"
+# The same for `btv check tests/golden/nested_hook.bt --output json`: a
+# 188-step counterexample over four tick cycles, whose RESULT_ARRIVED steps
+# run the root-result hook.
+NESTED_HOOK = Path(__file__).parent / "golden" / "nested_hook.bt"
+GOLDEN_NESTED_VERDICT = Path(__file__).parent / "golden" / "nested_hook.check.json"
 # `btv simulate robot_wall.bt --output json`, byte for byte; CI diffs the
 # installed entry point's output against it too.
 GOLDEN_SIMULATION = Path(__file__).parent / "golden" / "robot_wall.simulate.json"
@@ -151,6 +156,18 @@ def test_check_json_matches_the_golden_holds_verdict(capsys):
     del payload["stats"]["wall_time_s"]
     assert json.dumps(payload, indent=2) + "\n" == \
         GOLDEN_HOLDS_VERDICT.read_text(encoding="utf-8")
+
+
+def test_check_json_matches_the_golden_long_counterexample(capsys):
+    code, out, err = run(capsys, "check", str(NESTED_HOOK), "--output", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    del payload["stats"]["wall_time_s"]
+    assert json.dumps(payload, indent=2) + "\n" == \
+        GOLDEN_NESTED_VERDICT.read_text(encoding="utf-8")
+    steps = payload["counterexample"]
+    assert sum(s["event"] == "ROOT_REINITIALIZE" for s in steps) >= 3
+    assert all("env" in s["state_delta"] for s in steps if s["event"] == "RESULT_ARRIVED")
 
 
 def test_validate_json_matches_the_golden_file(capsys):
@@ -436,8 +453,8 @@ def test_a_domain_wider_than_sys_maxsize(capsys, tmp_path):
     assert (code, err) == (1, warning)
     assert out.startswith("VIOLATED: small\n  invariant 'small' is false after 13 "
                           "transitions\n  states explored: 14, transitions: 13\n")
-    code, out, _ = run(capsys, "simulate", str(path))
-    assert code == 0
+    code, out, err = run(capsys, "simulate", str(path))
+    assert (code, err) == (0, warning)
     assert out.splitlines()[-1] == "cycle 10: SUCCESS  x=10"
 
 

@@ -20,6 +20,7 @@ from btv.envmodel import (
     apply_effects,
     check_invariants,
     check_outcome_exhaustiveness,
+    compile_condition,
     compile_effects,
     compile_expr,
     compile_mask,
@@ -293,11 +294,17 @@ def test_compiled_expressions_match_evaluator(expr, values):
             outcome(eval_predicate, expr, env)
         assert outcome(compile_predicate(NotOp(expr), XYF), values) == \
             outcome(eval_predicate, NotOp(expr), env)
+        # A condition's two tests, from one rendering, are p and not p.
+        success, failure = compile_condition(expr, XYF)
+        assert outcome(success, values) == outcome(eval_predicate, expr, env)
+        assert outcome(failure, values) == outcome(eval_predicate, NotOp(expr), env)
     else:
         # A non-boolean predicate is refused when compiled; the evaluator
         # finds it when evaluating.
         with pytest.raises(ExpressionTypeError, match="is not boolean"):
             compile_predicate(expr, XYF)
+        with pytest.raises(ExpressionTypeError, match="is not boolean"):
+            compile_condition(expr, XYF)
         with pytest.raises(ExpressionTypeError):
             eval_predicate(expr, env)
 

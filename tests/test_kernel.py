@@ -6,14 +6,17 @@ enabled_events/apply_event. Their verdicts, counterexamples and state
 deltas must agree exactly, and so must btv.semantics' enabled_events and
 apply_event, which step through the same compiled transition lists as
 explore, and conftest's copies, in every reachable state. A MachineState
-is (control code, env), with one byte per node; the events and successor
-codes _candidates derives from a code must be what conftest's tuple-based
-_candidates and _fire_control give, encoded by conftest's _encode_control,
-and the events must equal those of conftest's every-node walk. Visited
-states are stored as exact packed ints, which must unpack to the same
-control id and values.
+is (control code, env), with one byte per node; the events, guards and
+successor codes of _Automaton's transition list for a code must be what
+conftest's tuple-based _candidates and _fire_control give, encoded by
+conftest's _encode_control, and the events and guards must equal those of
+conftest's every-node walk. Each leaf's guards and effects are compiled
+once per automaton, and a condition's two tests are exact complements.
+Visited states are stored as exact packed ints, which must unpack to the
+same control id and values.
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -36,7 +39,7 @@ from btv.checker import (
     step_from_json,
     verdict_to_json,
 )
-from btv.core import ModelError, TickResult, TreeSpec, bfs_numbering, validate_tree
+from btv.core import ModelError, NodeType, TickResult, TreeSpec, bfs_numbering, validate_tree
 from btv.envmodel import (
     BinOp,
     DomainViolationError,
@@ -47,9 +50,9 @@ from btv.envmodel import (
 )
 from btv.frontend import elaborate, parse
 from btv.semantics import (
+    EventKind,
     MachineState,
     StatePacking,
-    _candidates,
     _decode_control,
     deterministic_policy,
     initial_state,
@@ -60,6 +63,7 @@ import conftest
 from conftest import (
     _encode_control,
     apply_event,
+    control_graph,
     enabled_events,
     eval_predicate,
     naive_reachable,
@@ -233,25 +237,131 @@ def interned_controls() -> list:
     return out
 
 
+def sample_valuations(spec, seed: int, count: int = 6) -> list[tuple]:
+    """The initial values and `count` random valuations of `spec`."""
+    rng = random.Random(seed)
+    return [spec.initial_state()] + [
+        tuple(rng.random() < 0.5 if var.is_bool else rng.randint(var.lo, var.hi)
+              for var in spec.variables)
+        for _ in range(count)]
+
+
+def guards_agree(model, test, guard, valuations) -> bool:
+    """Whether a compiled guard is the oracle's (predicate, wanted value) on
+    each valuation; a control event has neither."""
+    if guard is None or test is None:
+        return guard is None and test is None
+    pred, wanted = guard
+    return all(test(values) == (eval_predicate(pred, named(model.env, values)) == wanted)
+               for values in valuations)
+
+
+def transitions_of(auto, code) -> list[tuple]:
+    """(event, guard, successor code) for each transition out of `code`."""
+    return [(event, test, auto.controls[nxt])
+            for event, test, _, nxt, _, _ in auto.transitions(auto.intern(code))]
+
+
 def test_candidates_match_every_node_walk():
-    for name, model, codes in interned_controls():
+    for k, (name, model, codes) in enumerate(interned_controls()):
+        auto = _Automaton(model)
+        valuations = sample_valuations(model.env, k)
         for code in codes:
             ticks, results, _ = _decode_control(code)
-            assert [c[:2] for c in _candidates(model, code)] == \
-                walk_candidates(model, ticks, results), name
+            got = transitions_of(auto, code)
+            walk = walk_candidates(model, ticks, results)
+            assert [event for event, _, _ in got] == [event for event, _ in walk], name
+            for (_, test, _), (_, guard) in zip(got, walk):
+                assert guards_agree(model, test, guard, valuations), name
 
 
 def test_control_codes_step_like_the_tuple_oracles():
-    for name, model, codes in interned_controls():
+    for k, (name, model, codes) in enumerate(interned_controls()):
+        auto = _Automaton(model)
+        valuations = sample_valuations(model.env, k)
         for code in codes:
             control = _decode_control(code)
             assert _encode_control(*control) == code, name
-            candidates = _candidates(model, code)
-            assert [c[:2] for c in candidates] == \
-                conftest._candidates(model, *control[:2]), name
-            for event, _, successor in candidates:
+            got = transitions_of(auto, code)
+            oracle = conftest._candidates(model, *control[:2])
+            assert [event for event, _, _ in got] == [event for event, _ in oracle], name
+            for (event, test, successor), (_, guard) in zip(got, oracle):
+                assert guards_agree(model, test, guard, valuations), name
                 assert successor == \
                     _encode_control(*conftest._fire_control(model, control, event)), name
+
+
+@functools.cache
+def walked_automata() -> list:
+    """(name, model, automaton, compile calls) for the kernel corpus: each
+    automaton has built the transition list of every control code its
+    model reaches with guards ignored, and the calls count how often each
+    guard, effect list and root-result hook (by object) was compiled."""
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        calls = collections.Counter()
+
+        def counted(fn, arg):
+            def compile_counted(*args, **kwargs):
+                calls[id(args[arg])] += 1
+                return fn(*args, **kwargs)
+            return compile_counted
+
+        for fn, arg in ((btv.semantics.compile_condition, 0),
+                        (btv.semantics.compile_predicate, 0),
+                        (btv.semantics.compile_effects, 1)):
+            patch.setattr(btv.semantics, fn.__name__, counted(fn, arg))
+        for name, model in corpus():
+            calls.clear()
+            auto = _Automaton(model)
+            for code in control_graph(model):
+                auto.transitions(auto.intern(code))
+            out.append((name, model, auto, dict(calls)))
+    return out
+
+
+def test_each_leaf_is_compiled_once_per_automaton():
+    compiled = 0
+    for name, model, auto, calls in walked_automata():
+        assert all(n == 1 for n in calls.values()), name
+        # Every leaf that moved had its guards and effects compiled.
+        wanted = set()
+        for i, rows in enumerate(auto.rows):
+            if rows is None:
+                continue
+            behavior = model.behaviors[auto.names[i]]
+            if auto.types[i] is NodeType.CONDITION:
+                wanted.add(id(behavior.success_when))
+            else:
+                for outcome in behavior.outcomes:
+                    wanted.add(id(outcome.guard))
+                    if outcome.effects:
+                        wanted.add(id(outcome.effects))
+        if model.env.root_result_hook:
+            wanted.add(id(model.env.root_result_hook))
+        assert set(calls) == wanted, name
+        compiled += len(calls)
+    assert compiled > 1000
+
+
+def test_condition_tests_are_exact_complements():
+    checked = 0
+    for k, (name, model, auto, _) in enumerate(walked_automata()):
+        valuations = sample_valuations(model.env, k)
+        for i, rows in enumerate(auto.rows):
+            if rows is None or auto.types[i] is not NodeType.CONDITION:
+                continue
+            (success_event, success, *_), (failure_event, failure, *_) = rows
+            assert success_event.kind is failure_event.kind is EventKind.COND_OUTCOME
+            assert (success_event.outcome[0], failure_event.outcome[0]) == \
+                (TickResult.SUCCESS, TickResult.FAILURE), name
+            pred = model.behaviors[auto.names[i]].success_when
+            for values in valuations:
+                holds = success(values)
+                assert type(holds) is bool and failure(values) is (not holds), name
+                assert holds == eval_predicate(pred, named(model.env, values)), name
+                checked += 1
+    assert checked > 1000
 
 
 def with_shuffled_ids(model, seed: int):
@@ -287,6 +397,17 @@ def test_trees_without_breadth_first_ids():
                 with pytest.raises(ModelError, match="breadth-first"):
                     step(model)
     assert unordered > 60
+
+
+@pytest.mark.parametrize("kind", [NodeType.SEQUENCE, NodeType.FALLBACK])
+def test_a_control_node_without_children_is_refused(kind):
+    """A hand-built tree whose sequence or fallback has no child to tick."""
+    model = elaborate(parse(DRAIN))
+    empty = TreeSpec.build({"root": NodeType.ROOT, "s": kind}, {"root": 0, "s": 1},
+                           {"s": "root"})
+    assert validate_tree(empty).tags() == {"LEAF_ARITY"}
+    with pytest.raises(ModelError, match="'s' has no children"):
+        explore(dataclasses.replace(model, tree=empty))
 
 
 def test_deterministic_policy_matches_priority_key():

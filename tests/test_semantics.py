@@ -15,6 +15,7 @@ from btv.envmodel import (
     IntLit,
     NotOp,
     VarRef,
+    expr_depth,
 )
 from btv.frontend import bundled_model_path, elaborate, load_model, parse
 from btv.semantics import (
@@ -23,7 +24,6 @@ from btv.semantics import (
     EventKind,
     EventNotEnabledError,
     Model,
-    _candidates,
     apply_event,
     cycle_step_budget,
     deterministic_policy,
@@ -33,7 +33,7 @@ from btv.semantics import (
     tick_cycle,
 )
 
-from conftest import OracleInapplicableError, named, reference_tick
+from conftest import OracleInapplicableError, _candidates, named, reference_tick
 from randmodels import GenParams, random_model_source
 
 S, R, F, U = TickResult.SUCCESS, TickResult.RUNNING, TickResult.FAILURE, TickResult.UNKNOWN
@@ -256,7 +256,7 @@ def _state_where_moves(model, node):
     """The first state of the deterministic cycle in which `node` moves;
     its transition list is not built yet."""
     state = initial_state(model)
-    while _candidates(model, state.code)[0][0].node != node:
+    while _candidates(model, state.ticks, state.results)[0][0].node != node:
         state = apply_event(model, state, enabled_events(model, state)[0])
     return state
 
@@ -301,6 +301,21 @@ def test_guard_at_the_compiled_depth_limit_runs(rw):
     state, result, _ = tick_cycle(deep, initial_state(deep))
     assert result is S  # an even number of `!` around a true comparison
     assert named(deep.env, state.env)["distance_to_object"] == 10
+
+
+def test_condition_at_the_compiled_depth_limit_runs(rw):
+    # Both of a condition's tests come from one rendering of its predicate,
+    # so the predicate may be as deep as any guard.
+    pred = rw.behaviors["condition_1"].success_when
+    extra = MAX_COMPILED_DEPTH - expr_depth(pred)
+    deep, shallow = (Model(rw.tree, rw.env, {**rw.behaviors,
+                                             "condition_1": ConditionBehavior(_negated(pred, n))})
+                     for n in (extra, extra % 2))
+    ours, theirs = initial_state(deep), initial_state(shallow)
+    for _ in range(3):
+        step, expected = tick_cycle(deep, ours), tick_cycle(shallow, theirs)
+        assert step == expected
+        ours, theirs = step[0], expected[0]
 
 
 def test_random_policy_reproducible(rw):
